@@ -20,7 +20,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidBasePoints, UnitIdeal
-from .points import ROOT, OrderValuation, Point, sorted_points
+from .points import ROOT, OrderValuation, Point, label_key, sorted_points
+
+
+def _last_label_key(p: Point) -> tuple[int, str]:
+    return label_key(p.path[-1])
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,9 @@ class BasePointSet:
     """A finite, rooted, downward-closed set of points.
 
     Base-point sets of m-primary ideals always contain the root and are
-    closed under taking parents; this class enforces both.
+    closed under taking parents; this class enforces both.  Construction
+    also builds the index every query reads: the members above each member,
+    keyed by path, and the members in canonical order.
     """
 
     points: frozenset[Point]
@@ -36,13 +42,26 @@ class BasePointSet:
     def __post_init__(self) -> None:
         pts = frozenset(self.points)
         object.__setattr__(self, "points", pts)
-        if ROOT not in pts:
+        children: dict[tuple[str, ...], list[Point]] = {p.path: [] for p in pts}
+        if () not in children:
             raise InvalidBasePoints("a base-point set must contain the root")
         for p in pts:
-            if not p.is_root and p.parent() not in pts:
-                raise InvalidBasePoints(
-                    f"{p} is present but its parent {p.parent()} is not"
-                )
+            if p.path:
+                siblings = children.get(p.path[:-1])
+                if siblings is None:
+                    raise InvalidBasePoints(
+                        f"{p} is present but its parent {p.parent()} is not"
+                    )
+                siblings.append(p)
+        # breadth first with children in label order is the canonical order:
+        # by level, then by the labels along the path
+        order = [ROOT]
+        for p in order:
+            siblings = children[p.path]
+            siblings.sort(key=_last_label_key)
+            order.extend(siblings)
+        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_order", tuple(order))
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "BasePointSet":
@@ -52,42 +71,38 @@ class BasePointSet:
     def downward_closure(cls, points: Iterable[Point]) -> "BasePointSet":
         closed: set[Point] = {ROOT}
         for p in points:
-            closed.update(p.chain())
+            # stop at the first ancestor already in: its chain is in too
+            while p not in closed:
+                closed.add(p)
+                p = p.parent()
         return cls(frozenset(closed))
 
     def __contains__(self, p: Point) -> bool:
         return p in self.points
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self.sorted())
+        return iter(self._order)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def sorted(self) -> tuple[Point, ...]:
-        return sorted_points(self.points)
+        return self._order
 
     def terminals(self) -> tuple[Point, ...]:
         """The maximal elements under the containment order."""
-        return sorted_points(
-            p
-            for p in self.points
-            if not any(q != p and p.leq(q) for q in self.points)
-        )
+        children = self._children
+        return tuple(p for p in self._order if not children[p.path])
 
     def child_labels(self, base: Point) -> tuple[str, ...]:
-        """Labels of the members sitting directly above ``base``."""
-        return tuple(
-            sorted(
-                {p.last_label for p in self.points if not p.is_root and p.parent() == base},
-            )
-        )
+        """Labels of the members sitting directly above ``base``, in label order."""
+        return tuple(p.path[-1] for p in self._children.get(base.path, ()))
 
     def union(self, other: "BasePointSet") -> "BasePointSet":
         return BasePointSet(self.points | other.points)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(p) for p in self.sorted()) + "}"
+        return "{" + ", ".join(str(p) for p in self._order) + "}"
 
 
 @dataclass(frozen=True)
@@ -113,6 +128,14 @@ class CompleteIdeal:
     @classmethod
     def unit(cls) -> "CompleteIdeal":
         return cls()
+
+    @classmethod
+    def saturated(cls, base: BasePointSet) -> "CompleteIdeal":
+        """The canonical saturated ideal with the given base points: each
+        base point once, already in canonical order."""
+        ideal = object.__new__(cls)
+        ideal.__dict__["factors"] = tuple((p, 1) for p in base.sorted())
+        return ideal
 
     @classmethod
     def simple(cls, point: Point, mult: int = 1) -> "CompleteIdeal":
@@ -187,7 +210,7 @@ class CompleteIdeal:
         to repeated factors.
         """
         self._require_proper()
-        return CompleteIdeal.of(self.base_points().sorted())
+        return CompleteIdeal.saturated(self.base_points())
 
     def __str__(self) -> str:
         if self.is_unit:

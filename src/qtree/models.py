@@ -39,7 +39,8 @@ class NonsingularModel:
         fans = tuple(
             CofiniteFan(b, self.base.child_labels(b)) for b in self.base.sorted()
         )
-        return SymbolicPointSet(fans=fans)
+        # one fan per base point, in canonical order, and no singles
+        return SymbolicPointSet._canonical((), fans)
 
     def contains_point(self, q: Point) -> bool:
         return not q.is_root and q.parent() in self.base and q not in self.base
@@ -54,7 +55,7 @@ class NonsingularModel:
 
     def ideal(self) -> CompleteIdeal:
         """The canonical saturated ideal whose blowup this model is."""
-        return CompleteIdeal.of(self.base.sorted())
+        return CompleteIdeal.saturated(self.base)
 
     def __str__(self) -> str:
         return f"model{self.base}"
@@ -101,10 +102,7 @@ def minimal_model_containing(points: Iterable[Point]) -> NonsingularModel:
     this one.
     """
     pts = _validated_antichain(points)
-    base: set[Point] = set()
-    for p in pts:
-        base.update(p.parent().chain())
-    return NonsingularModel(BasePointSet(frozenset(base)))
+    return NonsingularModel(BasePointSet.downward_closure(p.parent() for p in pts))
 
 
 def minimal_incomparable_set(points: Iterable[Point]) -> SymbolicPointSet:

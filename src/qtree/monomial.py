@@ -16,8 +16,8 @@ Only the two coordinate directions admit quadratic transforms of monomial
 ideals (a transform centered at a generic direction destroys monomiality).
 That loses nothing for this backend: the Rees valuations of a monomial ideal
 are monomial valuations, so all base points of complete monomial ideals are
-toric; the cross-layer agreement between the recursive base-point search here
-and the combinatorial chain closure is exercised by the test suite.
+toric; the cross-layer agreement between the base-point search by transforms
+here and the combinatorial chain closure is exercised by the test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable
 
 from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary
@@ -36,14 +36,15 @@ Exponent = tuple[int, int]
 
 
 def _minimal_exponents(pairs: Iterable[Exponent]) -> tuple[Exponent, ...]:
-    """The antichain of componentwise-minimal pairs, sorted by x-exponent."""
-    pts = set(pairs)
-    kept = [
-        g
-        for g in pts
-        if not any(h != g and h[0] <= g[0] and h[1] <= g[1] for h in pts)
-    ]
-    return tuple(sorted(kept))
+    """The antichain of componentwise-minimal pairs, sorted by x-exponent.
+
+    In (a, b) order a pair is minimal iff its b is below every earlier b.
+    """
+    kept: list[Exponent] = []
+    for a, b in sorted(set(pairs)):
+        if not kept or b < kept[-1][1]:
+            kept.append((a, b))
+    return tuple(kept)
 
 
 def _ceil_div(n: int, d: int) -> int:
@@ -389,25 +390,24 @@ def simple_ideal(v: MonomialValuation) -> MonomialIdeal:
 def base_points(ideal: MonomialIdeal) -> BasePointSet:
     """All points where the transform of the ideal stays proper.
 
-    Recursive descent: the root is always a base point, and each coordinate
-    direction is followed while the transform there is still proper.  The
-    recursion terminates because base-point sets are finite, and it visits
-    only toric points because the Rees valuations of a monomial ideal are
-    monomial.
+    Depth-first descent with an explicit stack, so chain length is not bound
+    by the recursion limit: the root is always a base point, and each
+    coordinate direction is followed while the transform there is still
+    proper.  The descent terminates because base-point sets are finite, and
+    it visits only toric points because the Rees valuations of a monomial
+    ideal are monomial.
     """
     if not ideal.is_m_primary:
         raise NotMPrimary("base points are defined for m-primary ideals")
-    closed = ideal.integral_closure()
     found: set[Point] = set()
-
-    def walk(point: Point, current: MonomialIdeal) -> None:
+    stack = [(ROOT, ideal.integral_closure())]
+    while stack:
+        point, current = stack.pop()
         found.add(point)
         for direction in (X_DIR, Y_DIR):
             transform = current.quadratic_transform(direction)
             if not transform.is_unit:
-                walk(point.child(direction), transform)
-
-    walk(ROOT, closed)
+                stack.append((point.child(direction), transform))
     return BasePointSet(frozenset(found))
 
 
@@ -446,8 +446,12 @@ def generators_for_ideal(ideal: CompleteIdeal) -> MonomialIdeal:
     return result.integral_closure()
 
 
-def _slope(e: NewtonEdge) -> Fraction:
-    return Fraction(e.end[1] - e.start[1], e.end[0] - e.start[0])
+def _by_slope(e: NewtonEdge, f: NewtonEdge) -> int:
+    """The sign of slope(e) - slope(f); every edge runs to increasing x,
+    so cross-multiplying by the two runs keeps the order."""
+    (a1, b1), (a2, b2) = e.start, e.end
+    (c1, d1), (c2, d2) = f.start, f.end
+    return (b2 - b1) * (c2 - c1) - (d2 - d1) * (a2 - a1)
 
 
 def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
@@ -457,7 +461,7 @@ def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
     of both polygons in increasing slope order and fusing parallel runs.
     The Newton region of a product of ideals has exactly these vertices.
     """
-    edges = sorted(list(r1.edges) + list(r2.edges), key=_slope)
+    edges = sorted(r1.edges + r2.edges, key=cmp_to_key(_by_slope))
     start = (
         r1.vertices[0][0] + r2.vertices[0][0],
         r1.vertices[0][1] + r2.vertices[0][1],
@@ -467,7 +471,7 @@ def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
     while i < len(edges):
         da = db = 0
         j = i
-        while j < len(edges) and _slope(edges[j]) == _slope(edges[i]):
+        while j < len(edges) and _by_slope(edges[j], edges[i]) == 0:
             da += edges[j].end[0] - edges[j].start[0]
             db += edges[j].end[1] - edges[j].start[1]
             j += 1

@@ -18,8 +18,7 @@ makes representable.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -38,22 +37,38 @@ def label_key(label: str) -> tuple[int, str]:
     return (2, label)
 
 
-@dataclass(frozen=True)
+_BAD_LABEL = "direction labels must be nonempty strings"
+
+
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point of the quadratic tree, identified by its path from the root.
 
     Two points are equal iff their paths are equal; the ancestors of a point
-    are exactly its path prefixes.
+    are exactly its path prefixes.  The hash is computed once, at
+    construction, and the parent once, on first use.
     """
 
     path: tuple[str, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _parent: Point | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.path, tuple):
-            object.__setattr__(self, "path", tuple(self.path))
-        for label in self.path:
+        path = self.path
+        if not isinstance(path, tuple):
+            path = tuple(path)
+            object.__setattr__(self, "path", path)
+        for label in path:
             if not isinstance(label, str) or not label:
-                raise ValueError("direction labels must be nonempty strings")
+                raise ValueError(_BAD_LABEL)
+        object.__setattr__(self, "_hash", hash(path))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the path: the cached hash is valid only in this process
+        return (Point, (self.path,))
 
     @classmethod
     def of(cls, *labels: str) -> "Point":
@@ -75,21 +90,34 @@ class Point:
 
     def parent(self) -> "Point":
         """The unique point this one dominates at the previous level."""
-        if self.is_root:
-            raise RootHasNoParent("the root is not a quadratic transform of any point")
-        return Point(self.path[:-1])
+        parent = self._parent
+        if parent is None:
+            if self.is_root:
+                raise RootHasNoParent(
+                    "the root is not a quadratic transform of any point"
+                )
+            parent = _trusted_point(self.path[:-1])
+            object.__setattr__(self, "_parent", parent)
+        return parent
 
     def child(self, label: str) -> "Point":
         """The first-neighborhood point of this one in the given direction."""
-        return Point(self.path + (label,))
+        if not isinstance(label, str) or not label:
+            raise ValueError(_BAD_LABEL)
+        return _trusted_point(self.path + (label,), self)
 
     def chain(self) -> tuple["Point", ...]:
         """The unique chain from the root to this point, both ends included."""
-        return tuple(Point(self.path[:i]) for i in range(self.level + 1))
+        chain = [self]
+        while chain[-1].path:
+            chain.append(chain[-1].parent())
+        chain.reverse()
+        return tuple(chain)
 
     def leq(self, other: "Point") -> bool:
         """Containment order: true iff this path is a prefix of the other's."""
-        return other.path[: self.level] == self.path
+        path = self.path
+        return other.path[: len(path)] == path
 
     def meet(self, other: "Point") -> "Point":
         """The maximal common ancestor (longest common path prefix)."""
@@ -98,25 +126,25 @@ class Point:
             if a != b:
                 break
             n += 1
-        return Point(self.path[:n])
+        return _trusted_point(self.path[:n])
 
     def sort_key(self) -> tuple:
-        return (self.level, tuple(label_key(l) for l in self.path))
+        return (self.level, tuple(map(label_key, self.path)))
 
     def __str__(self) -> str:
         return "D" if self.is_root else ".".join(self.path)
 
 
+def _trusted_point(path: tuple[str, ...], parent: Point | None = None) -> Point:
+    """A point on a path whose labels are already known to be valid."""
+    point = object.__new__(Point)
+    object.__setattr__(point, "path", path)
+    object.__setattr__(point, "_hash", hash(path))
+    object.__setattr__(point, "_parent", parent)
+    return point
+
+
 ROOT = Point()
-
-
-def is_antichain(points: Iterable[Point]) -> bool:
-    """True iff no two distinct points of the collection are comparable."""
-    pts = list(points)
-    for a, b in itertools.combinations(pts, 2):
-        if a.leq(b) or b.leq(a):
-            return False
-    return True
 
 
 def sorted_points(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -153,9 +181,6 @@ class CofiniteFan:
         canonical = tuple(sorted(set(self.excluded), key=label_key))
         object.__setattr__(self, "excluded", canonical)
 
-    def sort_key(self) -> tuple:
-        return self.base.sort_key()
-
     def __str__(self) -> str:
         if not self.excluded:
             return f"Q1({self.base})"
@@ -176,29 +201,41 @@ class SymbolicPointSet:
     fans: tuple[CofiniteFan, ...] = ()
 
     def __post_init__(self) -> None:
-        single_set = set(self.singles)
-        fan_map: dict[Point, set[str]] = {}
+        # base path -> (base, excluded labels)
+        bases: dict[tuple[str, ...], tuple[Point, set[str]]] = {}
         for fan in self.fans:
-            excl = set(fan.excluded)
-            if fan.base in fan_map:
+            entry = bases.get(fan.base.path)
+            if entry is None:
+                bases[fan.base.path] = (fan.base, set(fan.excluded))
+            else:
                 # union of two cofinite sets over one base excludes only
                 # the directions excluded by both
-                fan_map[fan.base] &= excl
+                entry[1].intersection_update(fan.excluded)
+        singles = set()
+        for p in self.singles:
+            entry = bases.get(p.path[:-1]) if p.path else None
+            if entry is None:
+                singles.add(p)
             else:
-                fan_map[fan.base] = excl
-        for base, excl in fan_map.items():
-            folded = {p for p in single_set if not p.is_root and p.parent() == base}
-            excl -= {p.last_label for p in folded}
-            single_set -= folded
-        object.__setattr__(self, "singles", sorted_points(single_set))
+                entry[1].discard(p.path[-1])
+        object.__setattr__(self, "singles", sorted_points(singles))
         object.__setattr__(
             self,
             "fans",
             tuple(
                 CofiniteFan(base, tuple(excl))
-                for base, excl in sorted(fan_map.items(), key=lambda kv: kv[0].sort_key())
+                for base, excl in sorted(bases.values(), key=lambda e: e[0].sort_key())
             ),
         )
+
+    @classmethod
+    def _canonical(
+        cls, singles: tuple[Point, ...], fans: tuple[CofiniteFan, ...]
+    ) -> "SymbolicPointSet":
+        """A set from parts that are already in canonical form."""
+        s = object.__new__(cls)
+        s.__dict__.update(singles=singles, fans=fans)
+        return s
 
     @classmethod
     def empty(cls) -> "SymbolicPointSet":
@@ -217,16 +254,17 @@ class SymbolicPointSet:
         return frozenset(self.singles)
 
     @cached_property
-    def _fan_map(self) -> dict[Point, CofiniteFan]:
-        return {fan.base: fan for fan in self.fans}
+    def _fan_map(self) -> dict[tuple[str, ...], tuple[str, ...]]:
+        """Base path -> excluded labels of the fan over that base."""
+        return {fan.base.path: fan.excluded for fan in self.fans}
 
     def __contains__(self, p: Point) -> bool:
         if p in self._single_set:
             return True
-        if p.is_root:
+        if not p.path:
             return False
-        fan = self._fan_map.get(p.parent())
-        return fan is not None and p.last_label not in fan.excluded
+        excluded = self._fan_map.get(p.path[:-1])
+        return excluded is not None and p.path[-1] not in excluded
 
     @property
     def is_empty(self) -> bool:
@@ -252,81 +290,61 @@ class SymbolicPointSet:
     def minus(self, points: Iterable[Point]) -> "SymbolicPointSet":
         """Remove finitely many points; fans grow their excluded label sets."""
         removed = set(points)
+        # parent path -> labels of the removed points above it
+        by_parent: dict[tuple[str, ...], list[str]] = {}
+        for p in removed:
+            if p.path:
+                by_parent.setdefault(p.path[:-1], []).append(p.path[-1])
         singles = tuple(p for p in self.singles if p not in removed)
-        fans = []
-        for fan in self.fans:
-            extra = {
-                p.last_label
-                for p in removed
-                if not p.is_root and p.parent() == fan.base
-            }
-            fans.append(CofiniteFan(fan.base, fan.excluded + tuple(extra)))
-        return SymbolicPointSet(singles, tuple(fans))
+        fans = tuple(
+            CofiniteFan(fan.base, fan.excluded + tuple(by_parent.get(fan.base.path, ())))
+            for fan in self.fans
+        )
+        return SymbolicPointSet._canonical(singles, fans)
 
     def is_subset(self, other: "SymbolicPointSet") -> bool:
         for fan in self.fans:
-            cover = other._fan_map.get(fan.base)
-            if cover is None or not set(cover.excluded) <= set(fan.excluded):
+            cover = other._fan_map.get(fan.base.path)
+            if cover is None or not set(cover) <= set(fan.excluded):
                 return False
         return all(p in other for p in self.singles)
 
-    def _member_strictly_below(self, p: Point) -> bool:
-        for q in self.singles:
-            if q != p and q.leq(p):
-                return True
-        for fan in self.fans:
-            b = fan.base
-            if (
-                b.level + 1 < p.level
-                and p.path[: b.level] == b.path
-                and p.path[b.level] not in fan.excluded
-            ):
-                return True
-        return False
+    def _member_below(self) -> dict[tuple[str, ...], bool]:
+        """For the path of every single and every fan base: whether a member
+        of the set, other than a single at that path, lies weakly below it.
 
-    def _member_leq(self, target: Point) -> bool:
-        for q in self.singles:
-            if q.leq(target):
-                return True
-        for fan in self.fans:
-            b = fan.base
-            if (
-                b.level < target.level
-                and target.path[: b.level] == b.path
-                and target.path[b.level] not in fan.excluded
-            ):
-                return True
-        return False
+        No single is a member of a fan, so for a single this is a member
+        strictly below it.  In lexicographic order every path follows its
+        prefixes, and the paths extending a prefix follow it contiguously,
+        so one sweep with a stack of the prefixes of the current path sees,
+        for each path, the deepest single or fan base below it.  Members
+        below the path are then the members below that one, that one itself
+        if it is a single, and the member of its fan that the path passes
+        through.
+        """
+        singles = {p.path for p in self.singles}
+        fans = self._fan_map
+        below: dict[tuple[str, ...], bool] = {}
+        stack: list[tuple[str, ...]] = []
+        for path in sorted(singles | fans.keys()):
+            while stack and path[: len(stack[-1])] != stack[-1]:
+                stack.pop()
+            if stack:
+                floor = stack[-1]
+                excluded = fans.get(floor)
+                below[path] = (
+                    below[floor]
+                    or floor in singles
+                    or (excluded is not None and path[len(floor)] not in excluded)
+                )
+            else:
+                below[path] = False
+            stack.append(path)
+        return below
 
     def is_antichain(self) -> bool:
         """True iff no two distinct members of the set are comparable."""
-        for a, b in itertools.combinations(self.singles, 2):
-            if a.leq(b) or b.leq(a):
-                return False
-        for p in self.singles:
-            for fan in self.fans:
-                if p.leq(fan.base):
-                    return False
-                if self._fan_has_member_strictly_below(fan, p):
-                    return False
-        for f1, f2 in itertools.permutations(self.fans, 2):
-            b1, b2 = f1.base, f2.base
-            if (
-                b1.level < b2.level
-                and b2.path[: b1.level] == b1.path
-                and b2.path[b1.level] not in f1.excluded
-            ):
-                return False
-        return True
-
-    @staticmethod
-    def _fan_has_member_strictly_below(fan: CofiniteFan, p: Point) -> bool:
-        b = fan.base
-        return (
-            b.level + 1 < p.level
-            and p.path[: b.level] == b.path
-            and p.path[b.level] not in fan.excluded
-        )
+        return self.minimal_points() == self
 
     def minimal_points(self) -> "SymbolicPointSet":
         """The members minimal under the containment order.
@@ -336,12 +354,27 @@ class SymbolicPointSet:
         point of the fan dominates the base, so one dominated member dooms
         the whole fan).
         """
-        singles = tuple(p for p in self.singles if not self._member_strictly_below(p))
-        fans = tuple(f for f in self.fans if not self._member_leq(f.base))
-        return SymbolicPointSet(singles, fans)
+        below = self._member_below()
+        singles = tuple(p for p in self.singles if not below[p.path])
+        fans = tuple(
+            f
+            for f in self.fans
+            if not below[f.base.path] and f.base not in self._single_set
+        )
+        return SymbolicPointSet._canonical(singles, fans)
 
     def __str__(self) -> str:
         parts = [str(f) for f in self.fans]
         if self.singles:
             parts.append("{" + ", ".join(str(p) for p in self.singles) + "}")
         return " + ".join(parts) if parts else "{}"
+
+
+def is_antichain(points: Iterable[Point]) -> bool:
+    """True iff no two entries of the collection are comparable.
+
+    A point listed twice is comparable to itself, so a repeat makes the
+    collection no antichain.
+    """
+    pts = tuple(points)
+    return len(set(pts)) == len(pts) and SymbolicPointSet.of_points(pts).is_antichain()

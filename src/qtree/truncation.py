@@ -16,7 +16,6 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator
 
 from .points import ROOT, Point, SymbolicPointSet, X_DIR, Y_DIR, sorted_points
@@ -40,10 +39,12 @@ class TruncatedTree:
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
+        # built child by child, so each point already holds its parent
         pts = [ROOT]
-        for level in range(1, self.max_level + 1):
-            for path in product(self.alphabet, repeat=level):
-                pts.append(Point(path))
+        level = [ROOT]
+        for _ in range(self.max_level):
+            level = [p.child(label) for p in level for label in self.alphabet]
+            pts.extend(level)
         return sorted_points(pts)
 
     def __contains__(self, p: Point) -> bool:

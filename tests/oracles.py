@@ -152,3 +152,132 @@ def brute_force_minimal_incomparable(universe, targets) -> frozenset:
             if not all(incomparable(parent, t) for t in targets):
                 out.add(q)
     return frozenset(out)
+
+
+# Quadratic reference definitions for the indexed point core.  They work on
+# raw paths with pairwise scans, so they share no code with the index.
+
+
+def label_rank(label: str) -> tuple[int, str]:
+    """Canonical label order: X, then Y, then other labels alphabetically."""
+    return (0, "") if label == "X" else (1, "") if label == "Y" else (2, label)
+
+
+def canonical_key(point) -> tuple:
+    return (len(point.path), [label_rank(l) for l in point.path])
+
+
+def below(a, b) -> bool:
+    """True iff point a lies weakly below point b (a's path is a prefix)."""
+    return b.path[: len(a.path)] == a.path
+
+
+def reference_sorted(points) -> tuple:
+    return tuple(sorted(set(points), key=canonical_key))
+
+
+def reference_terminals(points) -> tuple:
+    pts = set(points)
+    return reference_sorted(
+        p for p in pts if not any(q != p and below(p, q) for q in pts)
+    )
+
+
+def reference_child_labels(points, base) -> tuple:
+    labels = {p.path[-1] for p in points if p.path and p.path[:-1] == base.path}
+    return tuple(sorted(labels, key=label_rank))
+
+
+def reference_points_antichain(points) -> bool:
+    """Pairwise test over a collection; a repeated entry is comparable to itself."""
+    pts = list(points)
+    return not any(
+        below(a, b) or below(b, a) for i, a in enumerate(pts) for b in pts[i + 1 :]
+    )
+
+
+def reference_fold(singles, fans) -> tuple:
+    """(singles, ((base, excluded)...)) in canonical form, for raw parts.
+
+    Fans over one base merge by intersecting their excluded sets, and a
+    single that is a member of the fan over its parent is folded into it.
+    """
+    fan_map: dict = {}
+    for base, excluded in fans:
+        fan_map[base] = fan_map.get(base, set(excluded)) & set(excluded)
+    single_set = set(singles)
+    for base, excl in fan_map.items():
+        folded = {p for p in single_set if p.path and p.path[:-1] == base.path}
+        excl -= {p.path[-1] for p in folded}
+        single_set -= folded
+    return (
+        reference_sorted(single_set),
+        tuple(
+            (base, tuple(sorted(excl, key=label_rank)))
+            for base, excl in sorted(fan_map.items(), key=lambda kv: canonical_key(kv[0]))
+        ),
+    )
+
+
+def parts(s) -> tuple:
+    """A symbolic point set as (singles, ((base, excluded)...))."""
+    return (s.singles, tuple((f.base, f.excluded) for f in s.fans))
+
+
+def reference_minus(s, removed) -> tuple:
+    removed = set(removed)
+    singles = [p for p in s.singles if p not in removed]
+    fans = [
+        (f.base, tuple(f.excluded) + tuple(
+            p.path[-1] for p in removed if p.path and p.path[:-1] == f.base.path
+        ))
+        for f in s.fans
+    ]
+    return reference_fold(singles, fans)
+
+
+def _fan_member_strictly_below(base, excluded, p) -> bool:
+    """Some member of the fan lies strictly below p."""
+    n = len(base.path)
+    return n + 1 < len(p.path) and p.path[:n] == base.path and p.path[n] not in excluded
+
+
+def _fan_member_weakly_below(base, excluded, p) -> bool:
+    n = len(base.path)
+    return n < len(p.path) and p.path[:n] == base.path and p.path[n] not in excluded
+
+
+def reference_minimal_points(s) -> tuple:
+    singles = [
+        p
+        for p in s.singles
+        if not any(q != p and below(q, p) for q in s.singles)
+        and not any(_fan_member_strictly_below(f.base, f.excluded, p) for f in s.fans)
+    ]
+    fans = [
+        (f.base, f.excluded)
+        for f in s.fans
+        if not any(below(q, f.base) for q in s.singles)
+        and not any(_fan_member_weakly_below(g.base, g.excluded, f.base) for g in s.fans)
+    ]
+    return reference_fold(singles, fans)
+
+
+def reference_set_antichain(s) -> bool:
+    """No two distinct members comparable, by pairwise scans of the atoms."""
+    singles, fans = s.singles, s.fans
+    for i, a in enumerate(singles):
+        for b in singles[i + 1 :]:
+            if below(a, b) or below(b, a):
+                return False
+    for p in singles:
+        for f in fans:
+            # p below the base lies below every fan member; a fan member
+            # strictly below p lies below p
+            if below(p, f.base) or _fan_member_strictly_below(f.base, f.excluded, p):
+                return False
+    for f in fans:
+        for g in fans:
+            if f is not g and _fan_member_weakly_below(f.base, f.excluded, g.base):
+                return False
+    return True

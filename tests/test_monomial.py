@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -295,7 +296,7 @@ class TestGeneratorsForIdeal:
 
 
 def test_cross_layer_base_point_agreement():
-    # combinatorial chain closure vs recursive transform descent
+    # combinatorial chain closure vs transform descent
     coordinate_points = [
         P(*path)
         for level in range(0, 4)
@@ -304,6 +305,13 @@ def test_cross_layer_base_point_agreement():
     for point in coordinate_points:
         j = CompleteIdeal.simple(point).saturate()
         assert base_points(generators_for_ideal(j)).points == j.base_points().points
+
+
+def test_base_points_of_a_chain_deeper_than_the_recursion_limit():
+    # (x^d, y) is the simple ideal of v(1, d), centered d - 1 steps along X
+    d = sys.getrecursionlimit() + 100
+    found = base_points(MonomialIdeal.of((d, 0), (0, 1)))
+    assert found == CompleteIdeal.simple(P(*"X" * (d - 1))).base_points()
 
 
 def test_transforms_along_a_chain_reach_m_then_unit():
