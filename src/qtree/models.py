@@ -39,8 +39,7 @@ class NonsingularModel:
         fans = tuple(
             CofiniteFan(b, self.base.child_labels(b)) for b in self.base.sorted()
         )
-        # one fan per base point, in canonical order, and no singles
-        return SymbolicPointSet._canonical((), fans)
+        return SymbolicPointSet(fans=fans)
 
     def contains_point(self, q: Point) -> bool:
         return not q.is_root and q.parent() in self.base and q not in self.base

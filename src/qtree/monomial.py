@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
+from fractions import Fraction
 from typing import Iterable
 
 from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary
@@ -446,12 +446,8 @@ def generators_for_ideal(ideal: CompleteIdeal) -> MonomialIdeal:
     return result.integral_closure()
 
 
-def _by_slope(e: NewtonEdge, f: NewtonEdge) -> int:
-    """The sign of slope(e) - slope(f); every edge runs to increasing x,
-    so cross-multiplying by the two runs keeps the order."""
-    (a1, b1), (a2, b2) = e.start, e.end
-    (c1, d1), (c2, d2) = f.start, f.end
-    return (b2 - b1) * (c2 - c1) - (d2 - d1) * (a2 - a1)
+def _slope(e: NewtonEdge) -> Fraction:
+    return Fraction(e.end[1] - e.start[1], e.end[0] - e.start[0])
 
 
 def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
@@ -461,7 +457,7 @@ def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
     of both polygons in increasing slope order and fusing parallel runs.
     The Newton region of a product of ideals has exactly these vertices.
     """
-    edges = sorted(r1.edges + r2.edges, key=cmp_to_key(_by_slope))
+    edges = sorted(list(r1.edges) + list(r2.edges), key=_slope)
     start = (
         r1.vertices[0][0] + r2.vertices[0][0],
         r1.vertices[0][1] + r2.vertices[0][1],
@@ -471,7 +467,7 @@ def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
     while i < len(edges):
         da = db = 0
         j = i
-        while j < len(edges) and _by_slope(edges[j], edges[i]) == 0:
+        while j < len(edges) and _slope(edges[j]) == _slope(edges[i]):
             da += edges[j].end[0] - edges[j].start[0]
             db += edges[j].end[1] - edges[j].start[1]
             j += 1

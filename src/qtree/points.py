@@ -92,11 +92,10 @@ class Point:
         """The unique point this one dominates at the previous level."""
         parent = self._parent
         if parent is None:
-            if self.is_root:
-                raise RootHasNoParent(
-                    "the root is not a quadratic transform of any point"
-                )
-            parent = _trusted_point(self.path[:-1])
+            path = self.path
+            if not path:
+                raise RootHasNoParent("the root is not a quadratic transform of any point")
+            parent = _trusted_point(path[:-1])
             object.__setattr__(self, "_parent", parent)
         return parent
 
@@ -108,11 +107,8 @@ class Point:
 
     def chain(self) -> tuple["Point", ...]:
         """The unique chain from the root to this point, both ends included."""
-        chain = [self]
-        while chain[-1].path:
-            chain.append(chain[-1].parent())
-        chain.reverse()
-        return tuple(chain)
+        path = self.path
+        return tuple(_trusted_point(path[:i]) for i in range(len(path) + 1))
 
     def leq(self, other: "Point") -> bool:
         """Containment order: true iff this path is a prefix of the other's."""
@@ -229,15 +225,6 @@ class SymbolicPointSet:
         )
 
     @classmethod
-    def _canonical(
-        cls, singles: tuple[Point, ...], fans: tuple[CofiniteFan, ...]
-    ) -> "SymbolicPointSet":
-        """A set from parts that are already in canonical form."""
-        s = object.__new__(cls)
-        s.__dict__.update(singles=singles, fans=fans)
-        return s
-
-    @classmethod
     def empty(cls) -> "SymbolicPointSet":
         return cls()
 
@@ -300,7 +287,7 @@ class SymbolicPointSet:
             CofiniteFan(fan.base, fan.excluded + tuple(by_parent.get(fan.base.path, ())))
             for fan in self.fans
         )
-        return SymbolicPointSet._canonical(singles, fans)
+        return SymbolicPointSet(singles, fans)
 
     def is_subset(self, other: "SymbolicPointSet") -> bool:
         for fan in self.fans:
@@ -361,7 +348,7 @@ class SymbolicPointSet:
             for f in self.fans
             if not below[f.base.path] and f.base not in self._single_set
         )
-        return SymbolicPointSet._canonical(singles, fans)
+        return SymbolicPointSet(singles, fans)
 
     def __str__(self) -> str:
         parts = [str(f) for f in self.fans]
