@@ -58,9 +58,14 @@ class MonomialIdeal:
     Generators are kept as the unique minimal generating set, an antichain
     under componentwise order, sorted by increasing x-exponent.  The unit
     ideal is represented by the single generator (0, 0).
+
+    ``_complete`` is set, outside the dataclass fields, only on ideals built
+    as closures of a Newton polygon; any other ideal may still be complete,
+    and is tested by computing its closure.
     """
 
     gens: tuple[Exponent, ...]
+    _complete = False
 
     def __post_init__(self) -> None:
         if not self.gens:
@@ -92,10 +97,9 @@ class MonomialIdeal:
     @property
     def is_m_primary(self) -> bool:
         """Proper, with a pure power of x and a pure power of y among the
-        generators; equivalently the ideal is primary to (x, y)."""
-        if self.is_unit:
-            return False
-        return any(b == 0 for _, b in self.gens) and any(a == 0 for a, _ in self.gens)
+        generators; equivalently the ideal is primary to (x, y).  In the
+        sorted antichain those powers can only be the two ends."""
+        return not self.is_unit and self.gens[0][0] == 0 and self.gens[-1][1] == 0
 
     def _require_m_primary(self) -> None:
         if not self.is_m_primary:
@@ -117,24 +121,24 @@ class MonomialIdeal:
         return NewtonRegion.from_ideal(self)
 
     def integral_closure(self) -> "MonomialIdeal":
-        """All lattice points on or above the Newton polygon; idempotent."""
-        self._require_m_primary()
-        region = self.newton_region()
-        a_max = region.vertices[-1][0]
-        gens: list[Exponent] = []
-        prev: int | None = None
-        for a in range(a_max + 1):
-            b = region.min_y(a)
-            if prev is None or b < prev:
-                gens.append((a, b))
-                prev = b
-        return MonomialIdeal(tuple(gens))
+        """All lattice points on or above the Newton polygon; idempotent.
+
+        Linear in the generators and edges of the result.  A closure is
+        returned as is: it carries the completeness flag.
+        """
+        if self._complete:
+            return self
+        return _closure_of_polygon(self.newton_region().vertices)
 
     @property
     def is_complete(self) -> bool:
-        return self.is_m_primary and self.integral_closure() == self
+        return self._complete or (
+            self.is_m_primary and self.integral_closure() == self
+        )
 
     def _require_complete(self) -> None:
+        if self._complete:
+            return
         self._require_m_primary()
         if self.integral_closure() != self:
             raise NotComplete("the ideal is smaller than its integral closure")
@@ -225,12 +229,6 @@ class NewtonEdge:
     normal: tuple[int, int]
     lattice_length: int
 
-    @property
-    def value(self) -> int:
-        """The value p*a + q*b taken by the normal on the edge."""
-        p, q = self.normal
-        return p * self.start[0] + q * self.start[1]
-
 
 @dataclass(frozen=True)
 class NewtonRegion:
@@ -271,17 +269,6 @@ class NewtonRegion:
                 )
             )
         return cls(vertices=tuple(hull), edges=tuple(edges))
-
-    def min_y(self, a: int) -> int:
-        """The least b with (a, b) on or above every edge's supporting line."""
-        bound = 0
-        for e in self.edges:
-            p, q = e.normal
-            bound = max(bound, _ceil_div(e.value - p * a, q))
-        return bound
-
-    def contains(self, a: int, b: int) -> bool:
-        return a >= 0 and b >= self.min_y(a)
 
     def to_svg(self, scale: int = 20, margin: int = 10) -> str:
         """The polygon boundary as an SVG polyline (y axis pointing up)."""
@@ -376,15 +363,9 @@ def valuation_for_point(point: Point) -> MonomialValuation:
 
 
 def simple_ideal(v: MonomialValuation) -> MonomialIdeal:
-    """The simple complete ideal of v: the closure of {p*a + q*b >= p*q}."""
-    gens: list[Exponent] = []
-    prev: int | None = None
-    for a in range(v.q + 1):
-        b = _ceil_div(v.p * (v.q - a), v.q)
-        if prev is None or b < prev:
-            gens.append((a, b))
-            prev = b
-    return MonomialIdeal(tuple(gens))
+    """The simple complete ideal of v: the closure of {p*a + q*b >= p*q},
+    whose polygon is the one edge from (0, p) to (q, 0)."""
+    return _closure_of_polygon(((0, v.p), (v.q, 0)))
 
 
 def base_points(ideal: MonomialIdeal) -> BasePointSet:
@@ -433,21 +414,58 @@ def generators_for_ideal(ideal: CompleteIdeal) -> MonomialIdeal:
     """Materialize a toric complete ideal as a monomial ideal.
 
     The closure of the product of the simple monomial ideals of the factor
-    valuations, with multiplicities.  Defined only when every factor point
-    has a coordinate-label path.
+    valuations, with multiplicities, read off its Newton polygon: the factor
+    of v(p, q) with multiplicity k is the edge (k*q, -k*p), and the product's
+    polygon lays those edges down in slope order from the y-axis.  Defined
+    only when every factor point has a coordinate-label path.
     """
-    result = MonomialIdeal.unit()
+    steps = []
     for point, mult in ideal.factors:
-        s = simple_ideal(valuation_for_point(point))
-        for _ in range(mult):
-            result = result * s
-    if result.is_unit:
-        return result
-    return result.integral_closure()
+        v = valuation_for_point(point)
+        steps.append((mult * v.q, -mult * v.p))
+    if not steps:
+        return MonomialIdeal.unit()
+    return _closure_of_polygon(_lay_edges((0, -sum(db for _, db in steps)), steps))
 
 
-def _slope(e: NewtonEdge) -> Fraction:
-    return Fraction(e.end[1] - e.start[1], e.end[0] - e.start[0])
+def _lay_edges(
+    start: Exponent, steps: Iterable[tuple[int, int]]
+) -> tuple[Exponent, ...]:
+    """Vertices of the polygon that leaves ``start`` along the edge vectors
+    (da, db), da > 0 > db, in increasing slope order, with parallel runs
+    fused into one edge."""
+    vertices = [start]
+    last = None
+    for slope, da, db in sorted((Fraction(db, da), da, db) for da, db in steps):
+        a, b = vertices[-1]
+        if slope == last:
+            vertices[-1] = (a + da, b + db)
+        else:
+            vertices.append((a + da, b + db))
+        last = slope
+    return tuple(vertices)
+
+
+def _closure_of_polygon(vertices: tuple[Exponent, ...]) -> MonomialIdeal:
+    """The complete ideal of the lattice points on or above a Newton polygon.
+
+    Each edge from (a1, b1) to (a2, b2) is walked along its shorter side.
+    Where it is at least as wide as tall, every height b1 - k below the
+    start holds one generator, at the least a on or right of the edge;
+    where it is taller, every column a1 + j holds one, at the least b on or
+    above it.  So the cost is the number of generators plus edges, however
+    large the exponents.  The result carries the completeness flag.
+    """
+    gens = [vertices[0]]
+    for (a1, b1), (a2, b2) in zip(vertices, vertices[1:]):
+        da, db = a2 - a1, b1 - b2
+        if da >= db:
+            gens.extend((a1 + _ceil_div(da * k, db), b1 - k) for k in range(1, db + 1))
+        else:
+            gens.extend((a1 + j, b1 - db * j // da) for j in range(1, da + 1))
+    closed = MonomialIdeal(tuple(gens))
+    object.__setattr__(closed, "_complete", True)
+    return closed
 
 
 def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
@@ -457,21 +475,11 @@ def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
     of both polygons in increasing slope order and fusing parallel runs.
     The Newton region of a product of ideals has exactly these vertices.
     """
-    edges = sorted(list(r1.edges) + list(r2.edges), key=_slope)
     start = (
         r1.vertices[0][0] + r2.vertices[0][0],
         r1.vertices[0][1] + r2.vertices[0][1],
     )
-    vertices = [start]
-    i = 0
-    while i < len(edges):
-        da = db = 0
-        j = i
-        while j < len(edges) and _slope(edges[j]) == _slope(edges[i]):
-            da += edges[j].end[0] - edges[j].start[0]
-            db += edges[j].end[1] - edges[j].start[1]
-            j += 1
-        last = vertices[-1]
-        vertices.append((last[0] + da, last[1] + db))
-        i = j
-    return tuple(vertices)
+    steps = [
+        (e.end[0] - e.start[0], e.end[1] - e.start[1]) for e in r1.edges + r2.edges
+    ]
+    return _lay_edges(start, steps)

@@ -36,6 +36,12 @@ def _expect(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` decode to bools, which Python
+    counts as ints, and are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def point_to_json(p: Point) -> dict:
     return {"path": list(p.path)}
 
@@ -98,7 +104,7 @@ def ideal_from_json(obj: Any) -> CompleteIdeal:
             "a factor is {'point': ..., 'mult': n}",
         )
         mult = f.get("mult", 1)
-        _expect(isinstance(mult, int) and mult >= 1, "mult must be a positive integer")
+        _expect(_is_int(mult) and mult >= 1, "mult must be a positive integer")
         factors.append((point_from_json(f["point"]), mult))
     return CompleteIdeal(tuple(factors))
 
@@ -180,7 +186,7 @@ def monomial_from_json(obj: Any) -> MonomialIdeal:
         _expect(
             isinstance(g, list)
             and len(g) == 2
-            and all(isinstance(e, int) and e >= 0 for e in g),
+            and all(_is_int(e) and e >= 0 for e in g),
             "a generator is a pair of non-negative integers",
         )
         gens.append((g[0], g[1]))
@@ -190,8 +196,8 @@ def monomial_from_json(obj: Any) -> MonomialIdeal:
 def valuation_from_json(obj: Any) -> MonomialValuation:
     _expect(
         isinstance(obj, dict)
-        and isinstance(obj.get("p"), int)
-        and isinstance(obj.get("q"), int),
+        and _is_int(obj.get("p"))
+        and _is_int(obj.get("q")),
         "a valuation is {'p': int, 'q': int}",
     )
     return MonomialValuation(obj["p"], obj["q"])

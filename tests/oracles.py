@@ -94,6 +94,54 @@ def max_edge_span(gens: Iterable[Pair]) -> int:
     )
 
 
+def column_scan_closure(gens: Iterable[Pair]) -> tuple[Pair, ...]:
+    """Minimal closure generators by a scan of every column up to the last
+    hull vertex: in column a the least b on or above every hull edge's
+    supporting line, kept where it drops.  O(width x edges), however few
+    generators the closure has."""
+    hull = staircase_hull(gens)
+    edges = list(zip(hull, hull[1:]))
+    kept: list[Pair] = []
+    for a in range(hull[-1][0] + 1):
+        b = max(
+            [0]
+            + [b1 - (b1 - b2) * (a - a1) // (a2 - a1) for (a1, b1), (a2, b2) in edges]
+        )
+        if not kept or b < kept[-1][1]:
+            kept.append((a, b))
+    return tuple(kept)
+
+
+def repeated_product_generators(factors) -> tuple[Pair, ...]:
+    """Generators of the closure of a product of simple monomial ideals.
+
+    ``factors`` holds ((p, q), k): the simple ideal of the weights (p, q) is
+    the column-scan closure of (x^q, y^p), and it is multiplied in k times,
+    one generator product at a time, before the column scan closes the
+    whole product.  The products are reduced to their lower staircase by a
+    sort and a sweep, since the pairwise :func:`minimize` is too slow at
+    these sizes.
+    """
+
+    def staircase(pairs):
+        kept: list[Pair] = []
+        for a, b in sorted(pairs):
+            if not kept or b < kept[-1][1]:
+                kept.append((a, b))
+        return tuple(kept)
+
+    product: tuple[Pair, ...] = ((0, 0),)
+    for (p, q), mult in factors:
+        simple = column_scan_closure(((q, 0), (0, p)))
+        for _ in range(mult):
+            product = staircase(
+                (a1 + a2, b1 + b2) for a1, b1 in product for a2, b2 in simple
+            )
+    if product == ((0, 0),):
+        return product
+    return column_scan_closure(product)
+
+
 def random_m_primary_gens(rng, max_exp: int = 8, extra: int = 4) -> tuple[Pair, ...]:
     """A random minimal m-primary generator set with exponents <= max_exp."""
     gens = {(rng.randint(1, max_exp), 0), (0, rng.randint(1, max_exp))}

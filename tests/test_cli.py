@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qtree.cli import main
 
 Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
@@ -284,3 +286,23 @@ def test_parse_errors_exit_2(capsys):
     )
     assert code == 2
     assert "schema" in err
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("closure", '{"gens": [[true, 0], [0, 1]]}'),
+        ("generators", '{"factors":[{"point":{"path":["Y"]},"mult":true}]}'),
+        ("point-of-valuation", '{"p": true, "q": 2}'),
+        ("point-of-valuation", '{"p": 3, "q": true}'),
+    ],
+    ids=["exponent", "mult", "p", "q"],
+)
+def test_json_booleans_are_not_integers(capsys, monkeypatch, verb, payload):
+    import io
+
+    code, out, err = run(capsys, verb, payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:")
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert run(capsys, verb, "-")[0] == 2

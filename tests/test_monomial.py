@@ -1,9 +1,10 @@
 import itertools
 import math
+import pickle
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import P
@@ -111,6 +112,107 @@ class TestIntegralClosure:
                 j.integral_closure().newton_region(),
             )
             assert product.newton_region().vertices == summed
+
+
+def m_primary_gens(x_max, y_max):
+    """Generators with a pure power of each variable and up to five more,
+    x-exponents up to ``x_max`` and y-exponents up to ``y_max``."""
+    extra = st.tuples(st.integers(0, x_max), st.integers(0, y_max)).filter(
+        lambda g: g != (0, 0)
+    )
+    return st.tuples(
+        st.integers(1, x_max), st.integers(1, y_max), st.lists(extra, max_size=5)
+    ).map(lambda t: ((t[0], 0), (0, t[1]), *t[2]))
+
+
+class TestOutputSensitiveClosure:
+    """The edge walk against the per-column scan it replaces."""
+
+    @pytest.mark.parametrize(
+        "x_max, y_max",
+        [(10**4, 40), (40, 10**4), (10**4, 10**4), (12, 12)],
+        ids=["wider-than-tall", "taller-than-wide", "large", "small"],
+    )
+    def test_matches_the_column_scan(self, x_max, y_max):
+        @settings(max_examples=60)
+        @given(m_primary_gens(x_max, y_max))
+        def check(gens):
+            closed = MonomialIdeal(gens).integral_closure()
+            assert closed.gens == oracles.column_scan_closure(gens)
+
+        check()
+
+    def test_huge_exponent_returns_at_once(self):
+        n = 10**12
+        assert M((n, 0), (0, 1)).integral_closure() == M((n, 0), (0, 1))
+        assert M((n, 0), (0, 3)).integral_closure().gens == (
+            (0, 3),
+            (-(-n // 3), 2),
+            (-(-2 * n // 3), 1),
+            (n, 0),
+        )
+        assert M((0, n), (3, 0)).integral_closure().gens == (
+            (0, n),
+            (1, -(-2 * n // 3)),
+            (2, -(-n // 3)),
+            (3, 0),
+        )
+
+    def test_closure_is_returned_as_is_and_input_is_not_marked(self):
+        ideal = M((4, 0), (0, 4))
+        closed = ideal.integral_closure()
+        assert closed.integral_closure() is closed
+        assert ideal.integral_closure() is not closed
+        assert closed.is_complete and not ideal.is_complete
+        with pytest.raises(NotComplete):
+            ideal.quadratic_transform("X")
+
+    def test_unmarked_complete_ideal(self):
+        closed = M((6, 0), (2, 1), (0, 5)).integral_closure()
+        copy = MonomialIdeal(closed.gens)
+        assert copy == closed and hash(copy) == hash(closed)
+        assert copy.integral_closure() == copy
+        assert copy.integral_closure() is not copy
+        assert copy.is_complete
+        assert copy.quadratic_transform("X") == closed.quadratic_transform("X")
+        assert pickle.loads(pickle.dumps(closed)).integral_closure() == closed
+
+    def test_m_primary_reads_the_ends_of_the_antichain(self):
+        assert M((3, 0), (1, 1), (0, 2)).is_m_primary
+        assert not M((3, 0), (1, 1)).is_m_primary
+
+
+class TestGeneratorsEdgeWalk:
+    """One edge per factor against the repeated generator product."""
+
+    toric = st.dictionaries(
+        st.lists(st.sampled_from("XY"), max_size=4).map(tuple),
+        st.integers(1, 3),
+        min_size=1,
+        max_size=3,
+    )
+
+    @given(toric)
+    def test_matches_the_repeated_product(self, factors):
+        j = CompleteIdeal.of({P(*path): k for path, k in factors.items()})
+        weights = []
+        for point, k in j.factors:
+            v = valuation_for_point(point)
+            weights.append(((v.p, v.q), k))
+        got = generators_for_ideal(j)
+        assert got.gens == oracles.repeated_product_generators(weights)
+        assert got.integral_closure() is got
+
+    def test_simple_ideals_match_the_column_scan(self):
+        for p in range(1, 30):
+            for q in range(1, 30):
+                if math.gcd(p, q) == 1:
+                    assert simple_ideal(MonomialValuation(p, q)).gens == (
+                        oracles.column_scan_closure(((q, 0), (0, p)))
+                    )
+
+    def test_unit_ideal(self):
+        assert generators_for_ideal(CompleteIdeal.unit()).is_unit
 
 
 class TestNewtonRegion:
