@@ -5,119 +5,91 @@ nonsingular projective models as base-point sets, intersection
 classification, and a concrete monomial-ideal backend over k[x, y].
 """
 
-from .errors import (
-    EmptyInput,
-    InvalidBasePoints,
-    InvalidDescriptor,
-    NonToricPoint,
-    NotAntichain,
-    NotComplete,
-    NotCoprime,
-    NotMPrimary,
-    NotSaturated,
-    OracleMismatch,
-    QTreeError,
-    RootHasNoParent,
-    RootNotAllowed,
-    UnitIdeal,
-)
-from .ideals import BasePointSet, CompleteIdeal
-from .intersections import (
-    INFINITE,
-    Classification,
-    IntersectionDescriptor,
-    Verdict,
-    classify,
-    is_complete_representation,
-    minimal_points,
-    represents_same_ring,
-    ring_key,
-)
-from .models import (
-    NonsingularModel,
-    minimal_desingularization,
-    minimal_incomparable_set,
-    minimal_model_containing,
-    model_from_ideal,
-)
-from .monomial import (
-    MonomialIdeal,
-    MonomialValuation,
-    NewtonRegion,
-    base_points,
-    factorize,
-    generators_for_ideal,
-    minkowski_sum,
-    point_for_valuation,
-    simple_ideal,
-    valuation_for_point,
-)
-from .points import (
-    ROOT,
-    CofiniteFan,
-    OrderValuation,
-    Point,
-    SymbolicPointSet,
-    X_DIR,
-    Y_DIR,
-    is_antichain,
-    sorted_points,
-)
-from .truncation import DEFAULT_ALPHABET, TruncatedTree, seeded_rng
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasePointSet",
-    "Classification",
-    "CofiniteFan",
-    "CompleteIdeal",
-    "DEFAULT_ALPHABET",
-    "EmptyInput",
-    "INFINITE",
-    "IntersectionDescriptor",
-    "InvalidBasePoints",
-    "InvalidDescriptor",
-    "MonomialIdeal",
-    "MonomialValuation",
-    "NewtonRegion",
-    "NonToricPoint",
-    "NonsingularModel",
-    "NotAntichain",
-    "NotComplete",
-    "NotCoprime",
-    "NotMPrimary",
-    "NotSaturated",
-    "OracleMismatch",
-    "OrderValuation",
-    "Point",
-    "QTreeError",
-    "ROOT",
-    "RootHasNoParent",
-    "RootNotAllowed",
-    "SymbolicPointSet",
-    "TruncatedTree",
-    "UnitIdeal",
-    "Verdict",
-    "X_DIR",
-    "Y_DIR",
-    "base_points",
-    "classify",
-    "factorize",
-    "generators_for_ideal",
-    "is_antichain",
-    "is_complete_representation",
-    "minimal_desingularization",
-    "minimal_incomparable_set",
-    "minimal_model_containing",
-    "minimal_points",
-    "minkowski_sum",
-    "model_from_ideal",
-    "point_for_valuation",
-    "represents_same_ring",
-    "ring_key",
-    "seeded_rng",
-    "simple_ideal",
-    "sorted_points",
-    "valuation_for_point",
-]
+# every public name, by the submodule that defines it; a name is imported
+# on first use, so ``import qtree`` loads no submodule
+_EXPORTS = {
+    "errors": (
+        "EmptyInput",
+        "InvalidBasePoints",
+        "InvalidDescriptor",
+        "NonToricPoint",
+        "NotAntichain",
+        "NotComplete",
+        "NotCoprime",
+        "NotMPrimary",
+        "NotSaturated",
+        "OracleMismatch",
+        "OutputTooLarge",
+        "QTreeError",
+        "RootHasNoParent",
+        "RootNotAllowed",
+        "UnitIdeal",
+    ),
+    "ideals": ("BasePointSet", "CompleteIdeal"),
+    "intersections": (
+        "INFINITE",
+        "Classification",
+        "IntersectionDescriptor",
+        "Verdict",
+        "classify",
+        "is_complete_representation",
+        "minimal_points",
+        "represents_same_ring",
+        "ring_key",
+    ),
+    "models": (
+        "NonsingularModel",
+        "minimal_desingularization",
+        "minimal_incomparable_set",
+        "minimal_model_containing",
+        "model_from_ideal",
+    ),
+    "monomial": (
+        "MonomialIdeal",
+        "MonomialValuation",
+        "NewtonRegion",
+        "base_points",
+        "factorize",
+        "generators_for_ideal",
+        "minkowski_sum",
+        "point_for_valuation",
+        "simple_ideal",
+        "valuation_for_point",
+    ),
+    "points": (
+        "ROOT",
+        "CofiniteFan",
+        "OrderValuation",
+        "Point",
+        "SymbolicPointSet",
+        "X_DIR",
+        "Y_DIR",
+        "is_antichain",
+        "sorted_points",
+    ),
+    "truncation": ("DEFAULT_ALPHABET", "TruncatedTree"),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "render", "serialize"}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

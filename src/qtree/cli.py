@@ -14,12 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import intersections, models, monomial, render, serialize
+from . import serialize
 from .errors import OracleMismatch, QTreeError
 from .points import Point, SymbolicPointSet
-from .truncation import DEFAULT_ALPHABET, TruncatedTree
+
+if TYPE_CHECKING:
+    from .monomial import MonomialIdeal
+
+# ``--truncate L`` enumerates every point of the four-label tree up to level
+# L, 4**L of them at the deepest level alone: about 2 s at level 8, and each
+# level costs four times the one before
+MAX_TRUNCATE_LEVEL = 8
 
 
 class ParseFailure(Exception):
@@ -57,18 +64,20 @@ def _load_json(source: str) -> Any:
     return _parse_json(_read_raw(source))
 
 
-def _load_monomial(source: str) -> monomial.MonomialIdeal:
+def _load_monomial(source: str) -> MonomialIdeal:
+    from .monomial import MonomialIdeal
+
     if source != "-" and not source.lstrip().startswith("{"):
         # inline generator text wins over a path when it parses as monomials
         try:
-            return monomial.MonomialIdeal.from_text(source)
+            return MonomialIdeal.from_text(source)
         except ValueError:
             pass
     raw = _read_raw(source)
     if raw.lstrip().startswith("{"):
         return serialize.monomial_from_json(_parse_json(raw))
     try:
-        return monomial.MonomialIdeal.from_text(raw.strip())
+        return MonomialIdeal.from_text(raw.strip())
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
 
@@ -106,8 +115,21 @@ def _points_argument(obj: Any) -> tuple[Point, ...]:
     return tuple(serialize.point_from_json(p) for p in obj["points"])
 
 
+def _truncate_level(args) -> int | None:
+    """The ``--truncate`` level, refused outside 1..MAX_TRUNCATE_LEVEL before
+    any input is read."""
+    level = args.truncate
+    if level is not None and not 1 <= level <= MAX_TRUNCATE_LEVEL:
+        raise ParseFailure(
+            f"--truncate takes a level from 1 to {MAX_TRUNCATE_LEVEL}, not {level}"
+        )
+    return level
+
+
 def _cross_check_pointset(result: SymbolicPointSet, expected_member, level: int) -> None:
     """Compare symbolic membership against literal enumeration up to a level."""
+    from .truncation import DEFAULT_ALPHABET, TruncatedTree
+
     tree = TruncatedTree(alphabet=DEFAULT_ALPHABET, max_level=level)
     for p in tree.points:
         if (p in result) != expected_member(p):
@@ -121,7 +143,9 @@ def _cmd_saturate(args) -> str:
     ideal = serialize.ideal_from_json(_load_json(args.input))
     saturated = ideal.saturate()
     if args.generators:
-        return monomial.generators_for_ideal(saturated).to_text()
+        from .monomial import generators_for_ideal
+
+        return generators_for_ideal(saturated).to_text()
     if args.pretty:
         return str(saturated)
     return _emit_json(serialize.ideal_to_json(saturated))
@@ -145,10 +169,11 @@ def _cmd_rees(args) -> str:
 
 
 def _cmd_closed_points(args) -> str:
+    level = _truncate_level(args)
     model = serialize.model_from_json(_load_json(args.input))
     closed = model.closed_points()
-    if args.truncate:
-        _cross_check_pointset(closed, model.contains_point, args.truncate)
+    if level is not None:
+        _cross_check_pointset(closed, model.contains_point, level)
     if args.pretty:
         return str(closed)
     return _emit_json(serialize.pointset_to_json(closed))
@@ -156,7 +181,9 @@ def _cmd_closed_points(args) -> str:
 
 def _emit_model(model, args) -> str:
     if args.dot:
-        return render.model_to_dot(model)
+        from .render import model_to_dot
+
+        return model_to_dot(model)
     if args.pretty:
         base = model.base
         terminal = ", ".join(str(p) for p in base.terminals())
@@ -165,8 +192,10 @@ def _emit_model(model, args) -> str:
 
 
 def _cmd_desingularize(args) -> str:
+    from .models import minimal_desingularization
+
     ideal = serialize.ideal_from_json(_load_json(args.input))
-    return _emit_model(models.minimal_desingularization(ideal), args)
+    return _emit_model(minimal_desingularization(ideal), args)
 
 
 def _cmd_join(args) -> str:
@@ -182,34 +211,44 @@ def _cmd_join(args) -> str:
 
 
 def _cmd_minimal_model(args) -> str:
+    from .models import minimal_model_containing
+
     points = _points_argument(_load_json(args.input))
-    return _emit_model(models.minimal_model_containing(points), args)
+    return _emit_model(minimal_model_containing(points), args)
 
 
 def _cmd_min_incomparable(args) -> str:
+    level = _truncate_level(args)
+    from .models import minimal_incomparable_set
+
     points = _points_argument(_load_json(args.input))
-    result = models.minimal_incomparable_set(points)
-    if args.truncate:
-        tree = TruncatedTree(max_level=args.truncate)
-        oracle = tree.minimal_incomparable(points)
-        _cross_check_pointset(result, lambda p: p in oracle, args.truncate)
+    result = minimal_incomparable_set(points)
+    if level is not None:
+        from .truncation import TruncatedTree
+
+        oracle = TruncatedTree(max_level=level).minimal_incomparable(points)
+        _cross_check_pointset(result, lambda p: p in oracle, level)
     if args.pretty:
         return str(result)
     return _emit_json(serialize.pointset_to_json(result))
 
 
 def _cmd_classify(args) -> str:
+    from .intersections import classify
+
     descriptor = serialize.descriptor_from_json(
         _load_json(args.input), henselian=True if args.henselian else None
     )
-    result = serialize.classification_to_json(intersections.classify(descriptor))
+    result = serialize.classification_to_json(classify(descriptor))
     if args.pretty:
         return _pretty_classification(result)
     return _emit_json(result)
 
 
 def _cmd_factorize(args) -> str:
-    ideal = monomial.factorize(_load_monomial(args.input))
+    from .monomial import factorize
+
+    ideal = factorize(_load_monomial(args.input))
     if args.pretty:
         return str(ideal)
     return _emit_json(serialize.ideal_to_json(ideal))
@@ -230,24 +269,30 @@ def _cmd_transform(args) -> str:
 
 
 def _cmd_point_of_valuation(args) -> str:
+    from .monomial import point_for_valuation
+
     valuation = serialize.valuation_from_json(_load_json(args.input))
-    point = monomial.point_for_valuation(valuation)
+    point = point_for_valuation(valuation)
     if args.pretty:
         return str(point)
     return _emit_json(serialize.point_to_json(point))
 
 
 def _cmd_generators(args) -> str:
+    from .monomial import generators_for_ideal
+
     ideal = serialize.ideal_from_json(_load_json(args.input))
-    result = monomial.generators_for_ideal(ideal)
+    result = generators_for_ideal(ideal)
     if args.pretty:
         return result.to_text()
     return _emit_json(serialize.monomial_to_json(result))
 
 
 def _cmd_emit_dot(args) -> str:
+    from .render import model_to_dot
+
     model = serialize.model_from_json(_load_json(args.input))
-    return render.model_to_dot(model)
+    return model_to_dot(model)
 
 
 _COMMANDS = {
@@ -280,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qtree",
         description="calculus for the quadratic tree of a 2-dimensional "
         "regular local ring",
-        epilog="The environment variable QTREE_SEED seeds the randomized "
-        "test utilities shipped with the library.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_, help_text) in _COMMANDS.items():

@@ -60,3 +60,7 @@ class NonToricPoint(QTreeError):
 
 class OracleMismatch(QTreeError):
     """A brute-force cross-check disagreed with the symbolic result."""
+
+
+class OutputTooLarge(QTreeError):
+    """The answer would exceed a documented size cap; refused before it is built."""

@@ -15,20 +15,18 @@ concerns m-primary ideals only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidBasePoints, UnitIdeal
-from .points import ROOT, OrderValuation, Point, label_key, sorted_points
+from .points import ROOT, FrozenValue, OrderValuation, Point, label_key, sorted_points
 
 
 def _last_label_key(p: Point) -> tuple[int, str]:
     return label_key(p.path[-1])
 
 
-@dataclass(frozen=True)
-class BasePointSet:
+class BasePointSet(FrozenValue):
     """A finite, rooted, downward-closed set of points.
 
     Base-point sets of m-primary ideals always contain the root and are
@@ -37,7 +35,19 @@ class BasePointSet:
     keyed by path, and the members in canonical order.
     """
 
-    points: frozenset[Point]
+    _fields = ("points",)
+
+    def __init__(self, points: frozenset[Point]) -> None:
+        object.__setattr__(self, "points", points)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.points == other.points
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.points)
 
     def __post_init__(self) -> None:
         pts = frozenset(self.points)
@@ -105,8 +115,7 @@ class BasePointSet:
         return "{" + ", ".join(str(p) for p in self._order) + "}"
 
 
-@dataclass(frozen=True)
-class CompleteIdeal:
+class CompleteIdeal(FrozenValue):
     """A complete m-primary ideal, stored as its simple factor multiset.
 
     ``factors`` maps each distinct factor point to a positive multiplicity
@@ -114,7 +123,19 @@ class CompleteIdeal:
     ideal.
     """
 
-    factors: tuple[tuple[Point, int], ...] = ()
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[Point, int], ...] = ()) -> None:
+        object.__setattr__(self, "factors", factors)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
 
     def __post_init__(self) -> None:
         counts: Counter[Point] = Counter()

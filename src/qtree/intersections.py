@@ -17,13 +17,12 @@ guessed, with a one-line statement of the nearest applicable fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .errors import InvalidDescriptor
 from .models import NonsingularModel
-from .points import ROOT, Point, SymbolicPointSet, X_DIR, Y_DIR
+from .points import ROOT, FrozenValue, Point, SymbolicPointSet, X_DIR, Y_DIR
 
 
 class Verdict(str, Enum):
@@ -43,17 +42,22 @@ _NOETHERIAN_BASIS = (
 )
 
 
-@dataclass(frozen=True)
-class IntersectionDescriptor:
+class IntersectionDescriptor(FrozenValue):
     """A subset of the closed points of a nonsingular model.
 
     Validity is checked atom by atom: every fan must be based at a base
     point of the model, and every single must be a closed point of it.
     """
 
-    model: NonsingularModel
-    subset: SymbolicPointSet
-    henselian: bool = False
+    _fields = ("model", "subset", "henselian")
+
+    def __init__(
+        self, model: NonsingularModel, subset: SymbolicPointSet, henselian: bool = False
+    ) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "henselian", henselian)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.subset.is_empty:
@@ -68,20 +72,45 @@ class IntersectionDescriptor:
                 raise InvalidDescriptor(f"{p} is not a closed point of the model")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(FrozenValue):
     """Verdicts for one descriptor, each with a one-line justification."""
 
-    maximal_ideal_count: Union[int, str]
-    count_basis: str
-    irredundant: Verdict
-    irredundant_basis: str
-    essential: Verdict
-    essential_basis: str
-    noetherian: bool = True
-    noetherian_basis: str = _NOETHERIAN_BASIS
-    ring_point: Point | None = None
-    singularity: str | None = None
+    _fields = (
+        "maximal_ideal_count",
+        "count_basis",
+        "irredundant",
+        "irredundant_basis",
+        "essential",
+        "essential_basis",
+        "noetherian",
+        "noetherian_basis",
+        "ring_point",
+        "singularity",
+    )
+
+    def __init__(
+        self,
+        maximal_ideal_count: Union[int, str],
+        count_basis: str,
+        irredundant: Verdict,
+        irredundant_basis: str,
+        essential: Verdict,
+        essential_basis: str,
+        noetherian: bool = True,
+        noetherian_basis: str = _NOETHERIAN_BASIS,
+        ring_point: Point | None = None,
+        singularity: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "maximal_ideal_count", maximal_ideal_count)
+        object.__setattr__(self, "count_basis", count_basis)
+        object.__setattr__(self, "irredundant", irredundant)
+        object.__setattr__(self, "irredundant_basis", irredundant_basis)
+        object.__setattr__(self, "essential", essential)
+        object.__setattr__(self, "essential_basis", essential_basis)
+        object.__setattr__(self, "noetherian", noetherian)
+        object.__setattr__(self, "noetherian_basis", noetherian_basis)
+        object.__setattr__(self, "ring_point", ring_point)
+        object.__setattr__(self, "singularity", singularity)
 
 
 def _single_fan(subset: SymbolicPointSet):

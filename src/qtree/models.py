@@ -15,19 +15,27 @@ the blowup of its saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyInput, NotAntichain, NotSaturated, RootNotAllowed, UnitIdeal
 from .ideals import BasePointSet, CompleteIdeal
-from .points import CofiniteFan, Point, SymbolicPointSet, is_antichain, sorted_points
+from .points import (
+    CofiniteFan,
+    FrozenValue,
+    Point,
+    SymbolicPointSet,
+    is_antichain,
+    sorted_points,
+)
 
 
-@dataclass(frozen=True)
-class NonsingularModel:
+class NonsingularModel(FrozenValue):
     """A nonsingular projective model, identified by its base-point set."""
 
-    base: BasePointSet
+    _fields = ("base",)
+
+    def __init__(self, base: BasePointSet) -> None:
+        object.__setattr__(self, "base", base)
 
     def closed_points(self) -> SymbolicPointSet:
         """The closed points: each base point contributes its first

@@ -24,15 +24,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary
+from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary, OutputTooLarge
 from .ideals import BasePointSet, CompleteIdeal
-from .points import ROOT, Point, X_DIR, Y_DIR
+from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR
 
 Exponent = tuple[int, int]
+
+# The largest number of minimal generators a closure may have.  The count is
+# read off the polygon before any generator is made, so a larger closure is
+# refused at once.
+MAX_GENERATORS = 10**6
 
 
 def _minimal_exponents(pairs: Iterable[Exponent]) -> tuple[Exponent, ...]:
@@ -51,21 +54,32 @@ def _ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(FrozenValue):
     """An m-primary (or unit) monomial ideal in two variables.
 
     Generators are kept as the unique minimal generating set, an antichain
     under componentwise order, sorted by increasing x-exponent.  The unit
     ideal is represented by the single generator (0, 0).
 
-    ``_complete`` is set, outside the dataclass fields, only on ideals built
+    ``_complete`` is set, outside the value's fields, only on ideals built
     as closures of a Newton polygon; any other ideal may still be complete,
     and is tested by computing its closure.
     """
 
-    gens: tuple[Exponent, ...]
+    _fields = ("gens",)
     _complete = False
+
+    def __init__(self, gens: tuple[Exponent, ...]) -> None:
+        object.__setattr__(self, "gens", gens)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.gens == other.gens
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.gens)
 
     def __post_init__(self) -> None:
         if not self.gens:
@@ -215,8 +229,7 @@ class MonomialIdeal:
         return f"({self.to_text()})"
 
 
-@dataclass(frozen=True)
-class NewtonEdge:
+class NewtonEdge(FrozenValue):
     """A compact edge of a Newton polygon.
 
     ``normal`` is the primitive inward normal (p, q), both entries positive
@@ -224,14 +237,18 @@ class NewtonEdge:
     edge, which is the multiplicity of the corresponding simple factor.
     """
 
-    start: Exponent
-    end: Exponent
-    normal: tuple[int, int]
-    lattice_length: int
+    _fields = ("start", "end", "normal", "lattice_length")
+
+    def __init__(
+        self, start: Exponent, end: Exponent, normal: tuple[int, int], lattice_length: int
+    ) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "lattice_length", lattice_length)
 
 
-@dataclass(frozen=True)
-class NewtonRegion:
+class NewtonRegion(FrozenValue):
     """The Newton polygon of an m-primary monomial ideal.
 
     Vertices run from the y-axis to the x-axis with strictly increasing
@@ -240,8 +257,13 @@ class NewtonRegion:
     the integral closure.
     """
 
-    vertices: tuple[Exponent, ...]
-    edges: tuple[NewtonEdge, ...]
+    _fields = ("vertices", "edges")
+
+    def __init__(
+        self, vertices: tuple[Exponent, ...], edges: tuple[NewtonEdge, ...]
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_ideal(cls, ideal: MonomialIdeal) -> "NewtonRegion":
@@ -292,16 +314,19 @@ class NewtonRegion:
         )
 
 
-@dataclass(frozen=True)
-class MonomialValuation:
+class MonomialValuation(FrozenValue):
     """The monomial valuation with v(x) = p, v(y) = q, p and q coprime.
 
     These are exactly the order valuations of the toric points of the
     quadratic tree.
     """
 
-    p: int
-    q: int
+    _fields = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
@@ -434,6 +459,9 @@ def _lay_edges(
     """Vertices of the polygon that leaves ``start`` along the edge vectors
     (da, db), da > 0 > db, in increasing slope order, with parallel runs
     fused into one edge."""
+    # imported here, so that the verbs which lay no edges never load it
+    from fractions import Fraction
+
     vertices = [start]
     last = None
     for slope, da, db in sorted((Fraction(db, da), da, db) for da, db in steps):
@@ -455,7 +483,20 @@ def _closure_of_polygon(vertices: tuple[Exponent, ...]) -> MonomialIdeal:
     where it is taller, every column a1 + j holds one, at the least b on or
     above it.  So the cost is the number of generators plus edges, however
     large the exponents.  The result carries the completeness flag.
+    Raises :class:`OutputTooLarge` when there would be more than
+    ``MAX_GENERATORS`` generators.
     """
+    # the polygon runs from (0, height) to (width, 0), and the count, 1 plus
+    # the sum over the edges of their shorter sides, is at most
+    # 1 + min(width, height): only a polygon that large needs the sum
+    if vertices[-1][0] >= MAX_GENERATORS and vertices[0][1] >= MAX_GENERATORS:
+        edges = zip(vertices, vertices[1:])
+        size = 1 + sum(min(a2 - a1, b1 - b2) for (a1, b1), (a2, b2) in edges)
+        if size > MAX_GENERATORS:
+            raise OutputTooLarge(
+                f"the integral closure has {size} minimal generators, more than "
+                f"the cap of {MAX_GENERATORS}"
+            )
     gens = [vertices[0]]
     for (a1, b1), (a2, b2) in zip(vertices, vertices[1:]):
         da, db = a2 - a1, b1 - b2

@@ -18,8 +18,8 @@ makes representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import RootHasNoParent
@@ -40,8 +40,45 @@ def label_key(label: str) -> tuple[int, str]:
 _BAD_LABEL = "direction labels must be nonempty strings"
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class FrozenValue:
+    """An immutable value: equal to another of its class with equal fields.
+
+    A subclass names its fields in ``_fields``; its ``__init__`` stores them
+    with ``object.__setattr__``, since assignment and deletion are refused
+    afterwards.  Equality, hash and ``repr`` read only those fields, so
+    caches kept beside them (``cached_property`` values, indexes, flags)
+    never change the value.  The values compared most often spell out
+    ``__eq__`` and ``__hash__`` over their fields, which is faster than the
+    generic pair here.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(FrozenValue):
     """A point of the quadratic tree, identified by its path from the root.
 
     Two points are equal iff their paths are equal; the ancestors of a point
@@ -49,9 +86,18 @@ class Point:
     construction, and the parent once, on first use.
     """
 
-    path: tuple[str, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _parent: Point | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("path", "_hash", "_parent")
+    _fields = ("path",)
+
+    def __init__(self, path: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "_parent", None)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.path == other.path
+        return NotImplemented
 
     def __post_init__(self) -> None:
         path = self.path
@@ -148,30 +194,35 @@ def sorted_points(points: Iterable[Point]) -> tuple[Point, ...]:
     return tuple(sorted(points, key=Point.sort_key))
 
 
-@dataclass(frozen=True)
-class OrderValuation:
+class OrderValuation(FrozenValue):
     """The order valuation of the regular local ring at a point.
 
     Order valuations are exactly the prime divisors of the second kind on the
     root ring; two of them are equal iff their centers are equal.
     """
 
-    center: Point
+    _fields = ("center",)
+
+    def __init__(self, center: Point) -> None:
+        object.__setattr__(self, "center", center)
 
     def __str__(self) -> str:
         return f"ord({self.center})"
 
 
-@dataclass(frozen=True)
-class CofiniteFan:
+class CofiniteFan(FrozenValue):
     """A first neighborhood minus finitely many directions.
 
     Represents Q1(base) with the listed direction labels removed.  Because
     first neighborhoods are infinite, a fan is always an infinite set.
     """
 
-    base: Point
-    excluded: tuple[str, ...] = ()
+    _fields = ("base", "excluded")
+
+    def __init__(self, base: Point, excluded: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "excluded", excluded)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         canonical = tuple(sorted(set(self.excluded), key=label_key))
@@ -183,8 +234,7 @@ class CofiniteFan:
         return f"Q1({self.base}) - {{{', '.join(self.excluded)}}}"
 
 
-@dataclass(frozen=True)
-class SymbolicPointSet:
+class SymbolicPointSet(FrozenValue):
     """A finite union of single points and cofinite first-neighborhood fans.
 
     Values are kept in canonical form: fans have pairwise distinct bases,
@@ -193,8 +243,22 @@ class SymbolicPointSet:
     values are equal iff they describe the same set of points.
     """
 
-    singles: tuple[Point, ...] = ()
-    fans: tuple[CofiniteFan, ...] = ()
+    _fields = ("singles", "fans")
+
+    def __init__(
+        self, singles: tuple[Point, ...] = (), fans: tuple[CofiniteFan, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "singles", singles)
+        object.__setattr__(self, "fans", fans)
+        self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.singles == other.singles and self.fans == other.fans
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.singles, self.fans))
 
     def __post_init__(self) -> None:
         # base path -> (base, excluded labels)

@@ -20,13 +20,15 @@ Shapes:
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .ideals import BasePointSet, CompleteIdeal
-from .intersections import Classification, IntersectionDescriptor
-from .models import NonsingularModel
-from .monomial import MonomialIdeal, MonomialValuation
 from .points import CofiniteFan, OrderValuation, Point, SymbolicPointSet
+
+if TYPE_CHECKING:
+    from .intersections import Classification, IntersectionDescriptor
+    from .models import NonsingularModel
+    from .monomial import MonomialIdeal, MonomialValuation
 
 SCHEMA = "qtree/1"
 
@@ -68,9 +70,13 @@ def pointset_to_json(s: SymbolicPointSet) -> dict:
 
 def pointset_from_json(obj: Any) -> SymbolicPointSet:
     _expect(isinstance(obj, dict), "a point set is an object")
-    singles = tuple(point_from_json(p) for p in obj.get("singles", []))
+    singles = obj.get("singles", [])
+    _expect(isinstance(singles, list), "singles are a list of points")
+    points = tuple(point_from_json(p) for p in singles)
+    cofinite = obj.get("cofinite", [])
+    _expect(isinstance(cofinite, list), "cofinite atoms are a list")
     fans = []
-    for fan in obj.get("cofinite", []):
+    for fan in cofinite:
         _expect(
             isinstance(fan, dict) and "base" in fan,
             "a cofinite atom is {'base': point, 'excluded': [...]}",
@@ -81,7 +87,7 @@ def pointset_from_json(obj: Any) -> SymbolicPointSet:
             "excluded directions are a list of label strings",
         )
         fans.append(CofiniteFan(point_from_json(fan["base"]), tuple(excluded)))
-    return SymbolicPointSet(singles, tuple(fans))
+    return SymbolicPointSet(points, tuple(fans))
 
 
 def ideal_to_json(ideal: CompleteIdeal) -> dict:
@@ -123,6 +129,8 @@ def model_to_json(model: NonsingularModel) -> dict:
 
 
 def model_from_json(obj: Any) -> NonsingularModel:
+    from .models import NonsingularModel
+
     _expect(
         isinstance(obj, dict) and isinstance(obj.get("base"), list),
         "a model is {'base': [point...]}",
@@ -141,6 +149,8 @@ def descriptor_to_json(d: IntersectionDescriptor) -> dict:
 
 
 def descriptor_from_json(obj: Any, henselian: bool | None = None) -> IntersectionDescriptor:
+    from .intersections import IntersectionDescriptor
+
     _expect(
         isinstance(obj, dict) and "model" in obj and "subset" in obj,
         "a descriptor is {'model': ..., 'subset': ..., 'henselian': bool}",
@@ -177,6 +187,8 @@ def monomial_to_json(ideal: MonomialIdeal) -> dict:
 
 
 def monomial_from_json(obj: Any) -> MonomialIdeal:
+    from .monomial import MonomialIdeal
+
     _expect(
         isinstance(obj, dict) and isinstance(obj.get("gens"), list) and obj["gens"],
         "a monomial ideal is {'gens': [[a, b]...]}",
@@ -194,6 +206,8 @@ def monomial_from_json(obj: Any) -> MonomialIdeal:
 
 
 def valuation_from_json(obj: Any) -> MonomialValuation:
+    from .monomial import MonomialValuation
+
     _expect(
         isinstance(obj, dict)
         and _is_int(obj.get("p"))

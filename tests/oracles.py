@@ -9,7 +9,12 @@ which the package is checked.
 
 from __future__ import annotations
 
-from typing import Iterable
+import os
+import random
+from typing import Iterable, Iterator
+
+from qtree import truncation
+from qtree.points import ROOT, Point, sorted_points
 
 Pair = tuple[int, int]
 
@@ -329,3 +334,81 @@ def reference_set_antichain(s) -> bool:
             if f is not g and _fan_member_weakly_below(f.base, f.excluded, g.base):
                 return False
     return True
+
+
+# -- randomized and exhaustive enumerations over a truncation of the tree
+
+SEED_ENV_VAR = "QTREE_SEED"
+
+
+def seeded_rng(default: int = 20240) -> random.Random:
+    """A deterministic RNG for randomized suites, seeded from QTREE_SEED."""
+    seed = os.environ.get(SEED_ENV_VAR)
+    return random.Random(int(seed) if seed else default)
+
+
+class TruncatedTree(truncation.TruncatedTree):
+    """The library's truncation, plus exhaustive and random enumerations."""
+
+    def downward_closed_sets(
+        self, max_size: int, max_level: int | None = None
+    ) -> Iterator[frozenset[Point]]:
+        """Every rooted downward-closed subset with at most ``max_size``
+        points, exhaustively.
+
+        Points sorted canonically list parents before children, so each such
+        set is built by adding its points in canonical order; the recursion
+        below enumerates each set exactly once.
+        """
+        cap = self.max_level if max_level is None else max_level
+        candidates = [p for p in self.points if not p.is_root and p.level <= cap]
+
+        def grow(current: set[Point], start: int) -> Iterator[frozenset[Point]]:
+            yield frozenset(current)
+            if len(current) >= max_size:
+                return
+            for i in range(start, len(candidates)):
+                p = candidates[i]
+                if p.parent() in current:
+                    current.add(p)
+                    yield from grow(current, i + 1)
+                    current.remove(p)
+
+        yield from grow({ROOT}, 0)
+
+    def antichains(
+        self, size: int, max_level: int | None = None
+    ) -> Iterator[tuple[Point, ...]]:
+        """Every antichain of exactly ``size`` non-root points, exhaustively."""
+        cap = self.max_level if max_level is None else max_level
+        candidates = [p for p in self.points if not p.is_root and p.level <= cap]
+
+        def grow(chosen: list[Point], start: int) -> Iterator[tuple[Point, ...]]:
+            if len(chosen) == size:
+                yield tuple(chosen)
+                return
+            for i in range(start, len(candidates)):
+                p = candidates[i]
+                if all(not p.leq(q) and not q.leq(p) for q in chosen):
+                    chosen.append(p)
+                    yield from grow(chosen, i + 1)
+                    chosen.pop()
+
+        yield from grow([], 0)
+
+    def random_point(self, rng: random.Random, min_level: int = 0) -> Point:
+        level = rng.randint(min_level, self.max_level)
+        return Point(tuple(rng.choice(self.alphabet) for _ in range(level)))
+
+    def random_downward_closed(
+        self, rng: random.Random, max_size: int
+    ) -> frozenset[Point]:
+        """A random rooted downward-closed set grown child by child."""
+        current = {ROOT}
+        target = rng.randint(1, max_size)
+        while len(current) < target:
+            base = rng.choice(sorted_points(current))
+            child = base.child(rng.choice(self.alphabet))
+            if child.level <= self.max_level:
+                current.add(child)
+        return frozenset(current)

@@ -21,7 +21,6 @@ from qtree import (
     NonsingularModel,
     OrderValuation,
     SymbolicPointSet,
-    TruncatedTree,
     Verdict,
     base_points,
     classify,
@@ -31,9 +30,9 @@ from qtree import (
     minimal_model_containing,
     minkowski_sum,
     point_for_valuation,
-    seeded_rng,
     valuation_for_point,
 )
+from oracles import TruncatedTree, seeded_rng
 
 TREE = TruncatedTree(max_level=4)
 TREE5 = TruncatedTree(max_level=5)

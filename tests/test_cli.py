@@ -306,3 +306,51 @@ def test_json_booleans_are_not_integers(capsys, monkeypatch, verb, payload):
     assert err.startswith("ParseError:")
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     assert run(capsys, verb, "-")[0] == 2
+
+
+@pytest.mark.parametrize("field", ["singles", "cofinite"])
+def test_point_set_fields_must_be_lists(capsys, field):
+    descriptor = json.dumps({"model": {"base": [{"path": []}]}, "subset": {field: 5}})
+    code, out, err = run(capsys, "classify", descriptor)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:") and "list" in err
+
+
+@pytest.mark.parametrize("level", ["0", "-1", "9", "99"])
+@pytest.mark.parametrize("verb", ["closed-points", "min-incomparable"])
+def test_truncate_level_out_of_range_is_refused_before_any_work(capsys, verb, level):
+    # the input does not parse, so the refusal can only come from the level
+    # check, which runs first; a missing check fails here on the input
+    # instead of enumerating 4**99 points
+    code, out, err = run(capsys, verb, "{not json", "--truncate", level)
+    assert (code, out) == (2, "")
+    assert err == f"ParseError: --truncate takes a level from 1 to 8, not {level}\n"
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("closed-points", EX111_MODEL),
+    ("min-incomparable", '{"points":[{"path":["X"]}]}'),
+])
+def test_truncate_level_range_ends_are_accepted(capsys, verb, payload):
+    assert run(capsys, verb, payload, "--truncate", "1")[0] == 0
+    assert run(capsys, verb, payload, "--truncate", "0")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("closure", "x^1000000000000, y^999999999999"),
+        ("generators", '{"factors":[{"point":{"path":[]},"mult":1000000}]}'),
+    ],
+    ids=["closure", "generators"],
+)
+def test_huge_closures_are_refused_by_name(capsys, monkeypatch, verb, payload):
+    def no_generator(*args):
+        raise AssertionError("a generator was made before the size check")
+
+    # both polygons are one edge at least as wide as tall, whose generators
+    # come from _ceil_div: without the check this fails instead of running on
+    monkeypatch.setattr("qtree.monomial._ceil_div", no_generator)
+    code, out, err = run(capsys, verb, payload)
+    assert (code, out) == (1, "")
+    assert err.startswith("OutputTooLarge:") and "1000000" in err

@@ -9,13 +9,13 @@ from qtree import (
     InvalidDescriptor,
     NonsingularModel,
     SymbolicPointSet,
-    TruncatedTree,
     Verdict,
     classify,
     is_complete_representation,
     minimal_points,
     represents_same_ring,
 )
+from oracles import TruncatedTree
 
 TREE = TruncatedTree(max_level=4)
 
@@ -131,7 +131,7 @@ class TestClassify:
             assert seen > 0
 
     def test_removing_non_minimal_members_changes_nothing(self):
-        rng = __import__("qtree").seeded_rng(default=4242)
+        rng = __import__("oracles").seeded_rng(default=4242)
         exercised = 0
         for _ in range(300):
             atoms = SymbolicPointSet.empty()
@@ -154,7 +154,7 @@ class TestClassify:
         assert exercised > 0
 
     def test_henselian_flag_only_upgrades(self):
-        rng = __import__("qtree").seeded_rng(default=11)
+        rng = __import__("oracles").seeded_rng(default=11)
         upgraded = 0
         for _ in range(200):
             base = TREE.random_downward_closed(rng, 5)

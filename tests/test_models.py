@@ -15,13 +15,13 @@ from qtree import (
     OrderValuation,
     RootNotAllowed,
     SymbolicPointSet,
-    TruncatedTree,
     UnitIdeal,
     minimal_desingularization,
     minimal_incomparable_set,
     minimal_model_containing,
     model_from_ideal,
 )
+from oracles import TruncatedTree
 from qtree.render import model_to_dot
 
 TREE = TruncatedTree(max_level=4)
@@ -32,7 +32,7 @@ def model_of(*pts):
 
 
 def random_models(draw_seed=0):
-    rng = __import__("qtree").seeded_rng(default=77 + draw_seed)
+    rng = __import__("oracles").seeded_rng(default=77 + draw_seed)
     return [
         NonsingularModel(BasePointSet(TREE.random_downward_closed(rng, 6)))
         for _ in range(300)

@@ -22,10 +22,10 @@ from qtree import (
     generators_for_ideal,
     minkowski_sum,
     point_for_valuation,
-    seeded_rng,
     simple_ideal,
     valuation_for_point,
 )
+from oracles import seeded_rng
 
 M = MonomialIdeal.of
 
@@ -458,3 +458,33 @@ def test_chart_membership_value_inequalities():
     assert value(vb, 0, 3) == value(vb, 1, 0, 1)
     assert value(vb, 1, 0) > value(vb, 0, 0, 1)
     assert value(vb, 0, 1) == value(vb, 0, 0, 1)
+
+
+class TestOutputCap:
+    def test_closure_size_is_read_off_the_polygon_before_it_is_built(self, monkeypatch):
+        from qtree import OutputTooLarge, monomial
+
+        monkeypatch.setattr(monomial, "MAX_GENERATORS", 4)
+        # (x^3, x y, y^3): edges (0,3)-(1,1) and (1,1)-(3,0), min sides 1 and 1
+        closed = M((3, 0), (1, 1), (0, 3)).integral_closure()
+        assert closed.gens == ((0, 3), (1, 1), (3, 0))
+        assert len(M((3, 0), (0, 3)).integral_closure().gens) == 4
+        with pytest.raises(OutputTooLarge):
+            M((4, 0), (0, 4)).integral_closure()
+        # 5 wide and 5 tall, but its two edges are each one step on one side
+        assert len(M((5, 0), (1, 1), (0, 5)).integral_closure().gens) == 3
+        with pytest.raises(OutputTooLarge):
+            generators_for_ideal(CompleteIdeal.simple(ROOT, 4))
+        assert len(generators_for_ideal(CompleteIdeal.simple(ROOT, 3)).gens) == 4
+
+    def test_a_closure_of_a_trillion_generators_is_refused(self, monkeypatch):
+        from qtree import OutputTooLarge, monomial
+
+        def no_generator(*args):
+            raise AssertionError("a generator was made before the size check")
+
+        # without the check this fails at the first generator instead of
+        # building 10**12 of them
+        monkeypatch.setattr(monomial, "_ceil_div", no_generator)
+        with pytest.raises(OutputTooLarge):
+            M((10**12, 0), (0, 10**12 - 1)).integral_closure()

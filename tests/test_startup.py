@@ -1,0 +1,278 @@
+"""Start-up in proportion to the verb, and the values that replace dataclasses.
+
+A command-line verb runs in a fresh interpreter, so what it imports is part
+of its cost: each verb loads only the layers it runs, and no verb loads
+``dataclasses``.  The package resolves its public names on first use.
+"""
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qtree
+from conftest import P
+from qtree import (
+    ROOT,
+    BasePointSet,
+    CofiniteFan,
+    CompleteIdeal,
+    IntersectionDescriptor,
+    MonomialIdeal,
+    MonomialValuation,
+    NewtonRegion,
+    NonsingularModel,
+    OrderValuation,
+    SymbolicPointSet,
+    TruncatedTree,
+    classify,
+)
+
+SRC = str(Path(qtree.__file__).resolve().parents[1])
+LAYERS = {"models", "intersections", "monomial", "truncation", "render"}
+
+Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
+ROOT_MODEL = '{"base":[{"path":[]}]}'
+X_POINTS = '{"points":[{"path":["X"]}]}'
+DESCRIPTOR = json.dumps(
+    {"model": {"base": [{"path": []}]}, "subset": {"singles": [{"path": ["X"]}]}}
+)
+
+
+def python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+# ``python -m qtree ARGV`` through runpy, as ``-m`` runs it, with the names
+# of the loaded modules printed last on stderr when the interpreter exits
+RUN_VERB = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(' '.join(sys.modules), file=sys.stderr))\n"
+    "runpy.run_module('qtree', run_name='__main__', alter_sys=True)\n"
+)
+
+
+# (verb and flags, then the layers it must load and no others)
+VERBS = [
+    (("saturate", Y_FACTOR), set()),
+    (("base-points", Y_FACTOR), set()),
+    (("rees", Y_FACTOR), set()),
+    (("saturate", Y_FACTOR, "--generators"), {"monomial"}),
+    (("generators", Y_FACTOR), {"monomial"}),
+    (("closure", "x^3, y^2"), {"monomial"}),
+    (("closed-points", ROOT_MODEL), {"models"}),
+    (("closed-points", ROOT_MODEL, "--truncate", "2"), {"models", "truncation"}),
+    (("min-incomparable", X_POINTS), {"models"}),
+    (("min-incomparable", X_POINTS, "--truncate", "2"), {"models", "truncation"}),
+    (("desingularize", Y_FACTOR), {"models"}),
+    (("desingularize", Y_FACTOR, "--dot"), {"models", "render"}),
+    (("emit-dot", ROOT_MODEL), {"models", "render"}),
+    (("classify", DESCRIPTOR), {"models", "intersections"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    VERBS,
+    # the verb and its flags, without the input
+    ids=[" ".join(a for a in argv if a[0] not in "{x") for argv, _ in VERBS],
+)
+def test_a_verb_loads_only_its_layers(argv, layers):
+    proc = python(RUN_VERB, *argv)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.splitlines()[-1].split())
+    assert "dataclasses" not in modules
+    assert {m.partition(".")[2] for m in modules if m.startswith("qtree.")} & LAYERS == layers
+
+
+def test_import_qtree_loads_no_submodule_until_a_name_is_used():
+    proc = python(
+        "import sys, qtree\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qtree')))\n"
+        "qtree.MonomialIdeal\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qtree')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == "['qtree']"
+    assert "'qtree.monomial'" in after and "'qtree.models'" not in after
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qtree import *", namespace)
+    assert set(qtree.__all__) <= namespace.keys()
+    assert namespace["MonomialIdeal"] is MonomialIdeal
+    assert qtree.__all__ == sorted(qtree.__all__)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cli", "errors", "ideals", "intersections", "models", "monomial", "points",
+     "render", "serialize", "truncation"],
+)
+def test_submodules_are_attributes(name):
+    assert getattr(qtree, name) is sys.modules[f"qtree.{name}"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError):
+        qtree.no_such_name
+    assert not hasattr(qtree, "seeded_rng")
+    assert "seeded_rng" not in qtree.__all__
+
+
+def _descriptor():
+    return IntersectionDescriptor(
+        NonsingularModel(BasePointSet.of([ROOT])), SymbolicPointSet.fan(ROOT, ("Y",)), True
+    )
+
+
+def _region():
+    return NewtonRegion.from_ideal(MonomialIdeal.of((0, 2), (3, 0)))
+
+
+# (make a value, make an unequal value of the same class, a field, its repr);
+# the reprs are the ones the former dataclasses printed
+VALUES = [
+    (lambda: P("X", "Y"), lambda: P("X"), "path", "Point(path=('X', 'Y'))"),
+    (
+        lambda: OrderValuation(P("X")),
+        lambda: OrderValuation(P("Y")),
+        "center",
+        "OrderValuation(center=Point(path=('X',)))",
+    ),
+    (
+        lambda: CofiniteFan(ROOT, ("Y", "X")),
+        lambda: CofiniteFan(ROOT, ("X",)),
+        "excluded",
+        "CofiniteFan(base=Point(path=()), excluded=('X', 'Y'))",
+    ),
+    (
+        lambda: SymbolicPointSet((P("X", "Y"),), (CofiniteFan(P("Y")),)),
+        lambda: SymbolicPointSet((P("X", "Y"),)),
+        "fans",
+        "SymbolicPointSet(singles=(Point(path=('X', 'Y')),), "
+        "fans=(CofiniteFan(base=Point(path=('Y',)), excluded=()),))",
+    ),
+    (
+        lambda: BasePointSet.of([ROOT]),
+        lambda: BasePointSet.of([ROOT, P("X")]),
+        "points",
+        "BasePointSet(points=frozenset({Point(path=())}))",
+    ),
+    (
+        lambda: CompleteIdeal.of({P("X"): 2}),
+        lambda: CompleteIdeal.of({P("X"): 1}),
+        "factors",
+        "CompleteIdeal(factors=((Point(path=('X',)), 2),))",
+    ),
+    (
+        lambda: NonsingularModel(BasePointSet.of([ROOT])),
+        lambda: NonsingularModel(BasePointSet.of([ROOT, P("Y")])),
+        "base",
+        "NonsingularModel(base=BasePointSet(points=frozenset({Point(path=())})))",
+    ),
+    (
+        _descriptor,
+        lambda: IntersectionDescriptor(
+            NonsingularModel(BasePointSet.of([ROOT])), SymbolicPointSet.fan(ROOT, ("Y",))
+        ),
+        "henselian",
+        "IntersectionDescriptor(model=NonsingularModel(base=BasePointSet("
+        "points=frozenset({Point(path=())}))), subset=SymbolicPointSet(singles=(), "
+        "fans=(CofiniteFan(base=Point(path=()), excluded=('Y',)),)), henselian=True)",
+    ),
+    (
+        lambda: classify(_descriptor()),
+        lambda: classify(
+            IntersectionDescriptor(
+                NonsingularModel(BasePointSet.of([ROOT])),
+                SymbolicPointSet.of_points([P("X")]),
+            )
+        ),
+        "irredundant",
+        "Classification(maximal_ideal_count='INFINITE', count_basis='a cofinite "
+        "first-neighborhood fan contributes one maximal ideal per member, and first "
+        "neighborhoods are infinite', irredundant=<Verdict.YES: 'YES'>, "
+        "irredundant_basis='a subset of a single first neighborhood is an irredundant "
+        "representation of its intersection', essential=<Verdict.YES: 'YES'>, "
+        "essential_basis='a proper cofinite subset of a first neighborhood is an "
+        "essential representation of its intersection', noetherian=True, "
+        "noetherian_basis='an intersection of closed points of a nonsingular projective "
+        "model is a normal Noetherian domain with all maximal ideals of height 2', "
+        "ring_point=None, singularity=None)",
+    ),
+    (
+        lambda: MonomialIdeal.of((0, 2), (1, 0)),
+        lambda: MonomialIdeal.of((0, 1), (1, 0)),
+        "gens",
+        "MonomialIdeal(gens=((0, 2), (1, 0)))",
+    ),
+    (
+        lambda: _region().edges[0],
+        lambda: NewtonRegion.from_ideal(MonomialIdeal.of((0, 1), (1, 0))).edges[0],
+        "normal",
+        "NewtonEdge(start=(0, 2), end=(3, 0), normal=(2, 3), lattice_length=1)",
+    ),
+    (
+        _region,
+        lambda: NewtonRegion.from_ideal(MonomialIdeal.of((0, 1), (1, 0))),
+        "vertices",
+        "NewtonRegion(vertices=((0, 2), (3, 0)), edges=(NewtonEdge(start=(0, 2), "
+        "end=(3, 0), normal=(2, 3), lattice_length=1),))",
+    ),
+    (
+        lambda: MonomialValuation(2, 3),
+        lambda: MonomialValuation(3, 2),
+        "p",
+        "MonomialValuation(p=2, q=3)",
+    ),
+    (
+        lambda: TruncatedTree(max_level=2),
+        lambda: TruncatedTree(max_level=3),
+        "max_level",
+        "TruncatedTree(alphabet=('X', 'Y', 't1', 't2'), max_level=2)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, make_other, field, text", VALUES, ids=[v[3].partition("(")[0] for v in VALUES]
+)
+def test_former_dataclasses_are_frozen_values(make, make_other, field, text):
+    value, same, other = make(), make(), make_other()
+    assert value == same and hash(value) == hash(same)
+    assert value != other and not (value == other)
+    assert value != text and value.__eq__(text) is NotImplemented
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == getattr(same, field)
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and hash(copy) == hash(value) and repr(copy) == text
+
+
+def test_cached_properties_stay_outside_the_value():
+    s = SymbolicPointSet((P("X", "Y"),), (CofiniteFan(P("Y")),))
+    assert P("Y", "t1") in s and P("X", "Y") in s  # fills both caches
+    fresh = SymbolicPointSet((P("X", "Y"),), (CofiniteFan(P("Y")),))
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == fresh and P("Y", "t1") in copy and P("Y") not in copy
+    ideal = CompleteIdeal.of([P("X"), P("Y")])
+    assert ideal.support == (P("X"), P("Y"))
+    assert ideal == CompleteIdeal.of([P("Y"), P("X")])
