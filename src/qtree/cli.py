@@ -320,6 +320,35 @@ _COMMANDS = {
 }
 
 
+def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
+    p.add_argument("input", help="file path, inline JSON, or - for stdin")
+    p.add_argument("--pretty", action="store_true", help="human-readable output")
+    if verb in ("desingularize", "join", "minimal-model", "emit-dot"):
+        p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    if verb == "saturate":
+        p.add_argument(
+            "--generators",
+            action="store_true",
+            help="print monomial generators (toric factors only)",
+        )
+    if verb == "classify":
+        p.add_argument(
+            "--henselian",
+            action="store_true",
+            help="classify over a Henselian base",
+        )
+    if verb == "transform":
+        p.add_argument("--dir", required=True, choices=["X", "Y"])
+    if verb in ("closed-points", "min-incomparable"):
+        p.add_argument(
+            "--truncate",
+            type=int,
+            metavar="L",
+            help="cross-check the output against the brute-force oracle "
+            "up to level L",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtree",
@@ -328,39 +357,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(verb, help=help_text)
-        p.add_argument("input", help="file path, inline JSON, or - for stdin")
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
-        if verb in ("desingularize", "join", "minimal-model", "emit-dot"):
-            p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-        if verb == "saturate":
-            p.add_argument(
-                "--generators",
-                action="store_true",
-                help="print monomial generators (toric factors only)",
-            )
-        if verb == "classify":
-            p.add_argument(
-                "--henselian",
-                action="store_true",
-                help="classify over a Henselian base",
-            )
-        if verb == "transform":
-            p.add_argument("--dir", required=True, choices=["X", "Y"])
-        if verb in ("closed-points", "min-incomparable"):
-            p.add_argument(
-                "--truncate",
-                type=int,
-                metavar="L",
-                help="cross-check the output against the brute-force oracle "
-                "up to level L",
-            )
+        _add_arguments(sub.add_parser(verb, help=help_text), verb)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the verb in ``argv[0]`` alone, the one that
+    ``build_parser`` would hand the rest of the line to.  Anything it does
+    not parse whole -- no verb, an unknown one, an option before the verb,
+    arguments left over -- goes through the full parser, so usage, help and
+    errors read as they do there."""
+    verb = argv[0] if argv else None
+    if verb in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"qtree {verb}")
+        _add_arguments(parser, verb)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.verb = verb
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     handler = _COMMANDS[args.verb][0]
     try:
         output = handler(args)

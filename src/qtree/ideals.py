@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidBasePoints, UnitIdeal
 from .points import ROOT, FrozenValue, OrderValuation, Point, label_key, sorted_points
 
 
-def _last_label_key(p: Point) -> tuple[int, str]:
-    return label_key(p.path[-1])
+def _last_label_key(node: tuple[Point, list]) -> tuple[int, str]:
+    return label_key(node[0].path[-1])
 
 
 class BasePointSet(FrozenValue):
@@ -31,8 +32,9 @@ class BasePointSet(FrozenValue):
 
     Base-point sets of m-primary ideals always contain the root and are
     closed under taking parents; this class enforces both.  Construction
-    also builds the index every query reads: the members above each member,
-    keyed by path, and the members in canonical order.
+    also builds the index every query reads: one node per member, holding
+    the nodes of the members directly above it, the nodes in canonical
+    order, and a table from each member to its node.
     """
 
     _fields = ("points",)
@@ -49,29 +51,56 @@ class BasePointSet(FrozenValue):
     def __hash__(self) -> int:
         return hash(self.points)
 
+    def __reduce__(self):
+        # the index is rebuilt from the points, never pickled
+        return (BasePointSet, (self.points,))
+
     def __post_init__(self) -> None:
         pts = frozenset(self.points)
         object.__setattr__(self, "points", pts)
-        children: dict[tuple[str, ...], list[Point]] = {p.path: [] for p in pts}
-        if () not in children:
+        # One node (member, nodes above it) per member.  When every member
+        # carries its parent, as members made by ``parent`` and ``child``
+        # do, the parent's node is found in a table keyed by member: a point
+        # hashes once, where a path tuple is hashed anew, in time linear in
+        # its level, on every lookup.  Otherwise it is found by the parent's
+        # path, which is no dearer for the short paths of points made one by
+        # one from input: hashing a point is a Python call.
+        linked = all(p._parent is not None for p in pts if p.path)
+        if linked:
+            table = {p: (p, []) for p in pts}
+            root = table.get(ROOT)
+        else:
+            table = {p.path: (p, []) for p in pts}
+            root = table.get(())
+        if root is None:
             raise InvalidBasePoints("a base-point set must contain the root")
-        for p in pts:
-            if p.path:
-                siblings = children.get(p.path[:-1])
-                if siblings is None:
-                    raise InvalidBasePoints(
-                        f"{p} is present but its parent {p.parent()} is not"
-                    )
-                siblings.append(p)
+        for node in table.values():
+            p = node[0]
+            if not p.path:
+                continue
+            parent = table.get(p._parent if linked else p.path[:-1])
+            if parent is None:
+                raise InvalidBasePoints(
+                    f"{p} is present but its parent {p.parent()} is not"
+                )
+            parent[1].append(node)
         # breadth first with children in label order is the canonical order:
         # by level, then by the labels along the path
-        order = [ROOT]
-        for p in order:
-            siblings = children[p.path]
-            siblings.sort(key=_last_label_key)
-            order.extend(siblings)
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "_order", tuple(order))
+        nodes = [root]
+        for _, above in nodes:
+            if len(above) > 1:
+                above.sort(key=_last_label_key)
+            nodes.extend(above)
+        if linked:
+            self.__dict__["_node_of"] = table
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_order", tuple(map(itemgetter(0), nodes)))
+
+    @cached_property
+    def _node_of(self) -> dict[Point, tuple[Point, list]]:
+        """Member -> its node, for queries about a given point; made here
+        when construction did not key its table by member."""
+        return {node[0]: node for node in self._nodes}
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "BasePointSet":
@@ -101,12 +130,17 @@ class BasePointSet(FrozenValue):
 
     def terminals(self) -> tuple[Point, ...]:
         """The maximal elements under the containment order."""
-        children = self._children
-        return tuple(p for p in self._order if not children[p.path])
+        return tuple(p for p, above in self._nodes if not above)
+
+    def labels_above(self) -> Iterator[tuple[Point, tuple[str, ...]]]:
+        """Each member in canonical order, with its ``child_labels``."""
+        for p, above in self._nodes:
+            yield p, tuple(q.path[-1] for q, _ in above) if above else ()
 
     def child_labels(self, base: Point) -> tuple[str, ...]:
         """Labels of the members sitting directly above ``base``, in label order."""
-        return tuple(p.path[-1] for p in self._children.get(base.path, ()))
+        node = self._node_of.get(base)
+        return () if node is None else tuple(q.path[-1] for q, _ in node[1])
 
     def union(self, other: "BasePointSet") -> "BasePointSet":
         return BasePointSet(self.points | other.points)
@@ -156,6 +190,8 @@ class CompleteIdeal(FrozenValue):
         base point once, already in canonical order."""
         ideal = object.__new__(cls)
         ideal.__dict__["factors"] = tuple((p, 1) for p in base.sorted())
+        # its base set is ``base`` itself
+        ideal.__dict__["_base_points"] = base
         return ideal
 
     @classmethod
@@ -202,6 +238,12 @@ class CompleteIdeal(FrozenValue):
         their chains from the root, hence always rooted and downward closed.
         """
         self._require_proper()
+        return self._base_points
+
+    @cached_property
+    def _base_points(self) -> BasePointSet:
+        # built once per value: saturation, terminal base points and the
+        # saturation test all read it
         return BasePointSet.downward_closure(self.support)
 
     def terminal_base_points(self) -> tuple[Point, ...]:
@@ -217,10 +259,12 @@ class CompleteIdeal(FrozenValue):
         """True iff the factor support is itself a rooted downward-closed set.
 
         Equivalently: the Rees valuations are exactly the order valuations of
-        all base points, which is what makes the blowup nonsingular.
+        all base points, which is what makes the blowup nonsingular.  The
+        distinct factor points lie in the base set, their downward closure,
+        so they fill it exactly when they are as many.
         """
         self._require_proper()
-        return set(self.support) == self.base_points().points
+        return len(self.factors) == len(self.base_points())
 
     def saturate(self) -> "CompleteIdeal":
         """The canonical saturated ideal with the same base points.

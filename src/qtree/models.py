@@ -45,7 +45,7 @@ class NonsingularModel(FrozenValue):
         itself is not.
         """
         fans = tuple(
-            CofiniteFan(b, self.base.child_labels(b)) for b in self.base.sorted()
+            CofiniteFan(b, labels) for b, labels in self.base.labels_above()
         )
         return SymbolicPointSet(fans=fans)
 

@@ -36,6 +36,10 @@ Exponent = tuple[int, int]
 # read off the polygon before any generator is made, so a larger closure is
 # refused at once.
 MAX_GENERATORS = 10**6
+# The highest level of a point named by a valuation.  The level is the sum of
+# the quotients of the Euclidean algorithm on the weights, known before any
+# label is made, so a deeper point is refused at once.
+MAX_PATH_DEPTH = 10**6
 
 
 def _minimal_exponents(pairs: Iterable[Exponent]) -> tuple[Exponent, ...]:
@@ -355,21 +359,43 @@ class MonomialValuation(FrozenValue):
 
 
 def point_for_valuation(v: MonomialValuation) -> Point:
-    """The point whose order valuation is v, by Euclidean subtraction.
+    """The point whose order valuation is v, by Euclidean division.
 
     While (p, q) != (1, 1): a larger q steps into the X direction and drops
-    q by p; otherwise the Y direction drops p by q.
+    q by p; otherwise the Y direction drops p by q.  Each run of equal steps
+    is one division, so the path is known as runs of labels before any label
+    is made.  Raises :class:`OutputTooLarge` when the point lies above level
+    ``MAX_PATH_DEPTH``.
     """
     p, q = v.p, v.q
-    path: list[str] = []
-    while (p, q) != (1, 1):
+    runs: list[tuple[str, int]] = []
+    depth = 0
+    # coprime weights are equal only at (1, 1); a larger q drops by p while
+    # it stays above p, which takes (q - 1) // p steps
+    while p != q:
         if q > p:
-            path.append(X_DIR)
-            q -= p
+            steps = (q - 1) // p
+            q -= steps * p
+            runs.append((X_DIR, steps))
         else:
-            path.append(Y_DIR)
-            p -= q
-    return Point(tuple(path))
+            steps = (p - 1) // q
+            p -= steps * q
+            runs.append((Y_DIR, steps))
+        depth += steps
+    if depth > MAX_PATH_DEPTH:
+        raise OutputTooLarge(
+            f"the valuation ({v.p}, {v.q}) names a point at level {depth}, "
+            f"above the cap of {MAX_PATH_DEPTH}"
+        )
+    return Point(_path_of_runs(runs))
+
+
+def _path_of_runs(runs: list[tuple[str, int]]) -> tuple[str, ...]:
+    """The labels of the runs, in order: the one step linear in the level."""
+    path: list[str] = []
+    for label, steps in runs:
+        path += (label,) * steps
+    return tuple(path)
 
 
 def valuation_for_point(point: Point) -> MonomialValuation:

@@ -75,6 +75,19 @@ def brute_force_closure(gens: Iterable[Pair], kmax: int) -> tuple[Pair, ...]:
     return minimize(accepted)
 
 
+def subtraction_path(p: int, q: int) -> tuple[str, ...]:
+    """The tree path of the valuation v(p, q), one subtraction per label."""
+    path = []
+    while (p, q) != (1, 1):
+        if q > p:
+            path.append("X")
+            q -= p
+        else:
+            path.append("Y")
+            p -= q
+    return tuple(path)
+
+
 def staircase_hull(gens: Iterable[Pair]) -> list[Pair]:
     """Lower-left hull vertices, independent of the package implementation."""
     pts = sorted(minimize(gens))
@@ -239,6 +252,18 @@ def reference_terminals(points) -> tuple:
 def reference_child_labels(points, base) -> tuple:
     labels = {p.path[-1] for p in points if p.path and p.path[:-1] == base.path}
     return tuple(sorted(labels, key=label_rank))
+
+
+def reference_closed_points(points) -> tuple:
+    """The closed points of the model on a base set, in ``parts`` form: one
+    fan per member, missing the labels of the members directly above it."""
+    return ((), tuple((b, reference_child_labels(points, b)) for b in reference_sorted(points)))
+
+
+def reference_is_saturated(ideal) -> bool:
+    """The factor support equals its downward closure, on raw paths."""
+    support = {p.path for p, _ in ideal.factors}
+    return support == {path[:i] for path in support for i in range(len(path) + 1)}
 
 
 def reference_points_antichain(points) -> bool:

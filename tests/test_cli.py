@@ -354,3 +354,291 @@ def test_huge_closures_are_refused_by_name(capsys, monkeypatch, verb, payload):
     code, out, err = run(capsys, verb, payload)
     assert (code, out) == (1, "")
     assert err.startswith("OutputTooLarge:") and "1000000" in err
+
+
+# Help and usage text at 80 columns, as printed when every run built the
+# parsers of all 15 verbs.  Python 3.10 titles the options section
+# "optional arguments:"; everything else is as printed there.
+TOP_USAGE = (
+    "usage: qtree [-h]\n"
+    "             {saturate,base-points,rees,closed-points,desingularize,join,"
+    "minimal-model,min-incomparable,classify,factorize,closure,transform,"
+    "point-of-valuation,generators,emit-dot}\n"
+    "             ...\n"
+)
+
+HELP = {  # keyed by verb; None is qtree --help
+    None: TOP_USAGE + (
+        "\n"
+        "calculus for the quadratic tree of a 2-dimensional regular local ring\n"
+        "\n"
+        "positional arguments:\n"
+        "  {saturate,base-points,rees,closed-points,desingularize,join,minimal-model,min-incomparable,classify,factorize,closure,transform,point-of-valuation,generators,emit-dot}\n"
+        "    saturate            saturation of a complete ideal\n"
+        "    base-points         base points of a complete ideal\n"
+        "    rees                Rees valuations of a complete ideal\n"
+        "    closed-points       closed points of a model\n"
+        "    desingularize       minimal desingularization of a blowup\n"
+        "    join                join of two models\n"
+        "    minimal-model       least model containing an antichain\n"
+        "    min-incomparable    points minimal with respect to incomparability with an\n"
+        "                        antichain\n"
+        "    classify            classify an intersection of closed points\n"
+        "    factorize           factor a complete monomial ideal\n"
+        "    closure             integral closure of a monomial ideal\n"
+        "    transform           quadratic transform of a monomial ideal\n"
+        "    point-of-valuation  tree point of a monomial valuation\n"
+        "    generators          monomial generators of a toric ideal\n"
+        "    emit-dot            DOT drawing of a model\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "saturate": (
+        "usage: qtree saturate [-h] [--pretty] [--generators] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input         file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+        "  --pretty      human-readable output\n"
+        "  --generators  print monomial generators (toric factors only)\n"
+    ),
+    "base-points": (
+        "usage: qtree base-points [-h] [--pretty] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+    ),
+    "rees": (
+        "usage: qtree rees [-h] [--pretty] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+    ),
+    "closed-points": (
+        "usage: qtree closed-points [-h] [--pretty] [--truncate L] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input         file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+        "  --pretty      human-readable output\n"
+        "  --truncate L  cross-check the output against the brute-force oracle up to\n"
+        "                level L\n"
+    ),
+    "desingularize": (
+        "usage: qtree desingularize [-h] [--pretty] [--dot] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+        "  --dot       emit DOT instead of JSON\n"
+    ),
+    "join": (
+        "usage: qtree join [-h] [--pretty] [--dot] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+        "  --dot       emit DOT instead of JSON\n"
+    ),
+    "minimal-model": (
+        "usage: qtree minimal-model [-h] [--pretty] [--dot] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+        "  --dot       emit DOT instead of JSON\n"
+    ),
+    "min-incomparable": (
+        "usage: qtree min-incomparable [-h] [--pretty] [--truncate L] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input         file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+        "  --pretty      human-readable output\n"
+        "  --truncate L  cross-check the output against the brute-force oracle up to\n"
+        "                level L\n"
+    ),
+    "classify": (
+        "usage: qtree classify [-h] [--pretty] [--henselian] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input        file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --pretty     human-readable output\n"
+        "  --henselian  classify over a Henselian base\n"
+    ),
+    "factorize": (
+        "usage: qtree factorize [-h] [--pretty] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+    ),
+    "closure": (
+        "usage: qtree closure [-h] [--pretty] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+    ),
+    "transform": (
+        "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input        file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --pretty     human-readable output\n"
+        "  --dir {X,Y}\n"
+    ),
+    "point-of-valuation": (
+        "usage: qtree point-of-valuation [-h] [--pretty] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+    ),
+    "generators": (
+        "usage: qtree generators [-h] [--pretty] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+    ),
+    "emit-dot": (
+        "usage: qtree emit-dot [-h] [--pretty] [--dot] input\n"
+        "\n"
+        "positional arguments:\n"
+        "  input       file path, inline JSON, or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --pretty    human-readable output\n"
+        "  --dot       emit DOT instead of JSON\n"
+    ),
+}
+
+
+def run_exit(capsys, monkeypatch, *argv):
+    """(exit code, stdout, stderr) of a call that may exit through argparse."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.replace("optional arguments:", "options:"), out.err
+
+
+@pytest.mark.parametrize("verb", list(HELP), ids=lambda v: v or "qtree")
+def test_help_is_unchanged(capsys, monkeypatch, verb):
+    argv = ("--help",) if verb is None else (verb, "--help")
+    assert run_exit(capsys, monkeypatch, *argv) == (0, HELP[verb], "")
+    if verb is None:
+        assert run_exit(capsys, monkeypatch, "-h", "saturate") == (0, HELP[None], "")
+    else:
+        assert run_exit(capsys, monkeypatch, verb, "x", "-h") == (0, HELP[verb], "")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ((), TOP_USAGE + "qtree: error: the following arguments are required: verb\n"),
+        (
+            ("nope",),
+            TOP_USAGE + "qtree: error: argument verb: invalid choice: 'nope' (choose from "
+            "'saturate', 'base-points', 'rees', 'closed-points', 'desingularize', 'join', "
+            "'minimal-model', 'min-incomparable', 'classify', 'factorize', 'closure', "
+            "'transform', 'point-of-valuation', 'generators', 'emit-dot')\n",
+        ),
+        (
+            ("saturate", "{}", "--bogus"),
+            TOP_USAGE + "qtree: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ("saturate",),
+            "usage: qtree saturate [-h] [--pretty] [--generators] input\n"
+            "qtree saturate: error: the following arguments are required: input\n",
+        ),
+        (
+            ("transform", "x"),
+            "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
+            "qtree transform: error: the following arguments are required: --dir\n",
+        ),
+        (
+            ("closed-points", "x", "--truncate", "abc"),
+            "usage: qtree closed-points [-h] [--pretty] [--truncate L] input\n"
+            "qtree closed-points: error: argument --truncate: invalid int value: 'abc'\n",
+        ),
+    ],
+    ids=["no-verb", "unknown-verb", "unknown-flag", "no-input", "no-dir", "bad-level"],
+)
+def test_usage_errors_are_unchanged(capsys, monkeypatch, argv, err):
+    assert run_exit(capsys, monkeypatch, *argv) == (2, "", err)
+
+
+def test_a_well_formed_call_builds_only_its_own_verb_parser(capsys, monkeypatch):
+    def no_full_parser():
+        raise AssertionError("the parsers of every verb were built")
+
+    monkeypatch.setattr("qtree.cli.build_parser", no_full_parser)
+    assert run(capsys, "saturate", Y_FACTOR, "--pretty") == (0, "D * Y\n", "")
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("point-of-valuation", '{"p": 1, "q": 1000000000000}'),
+        ("factorize", "x^1000000000000, y"),
+    ],
+    ids=["point-of-valuation", "factorize"],
+)
+def test_points_above_the_depth_cap_are_refused_by_name(capsys, monkeypatch, verb, payload):
+    def no_label(*args):
+        raise AssertionError("a label was made before the depth check")
+
+    # without the check this fails at the first run of labels instead of
+    # laying down 10**12 of them
+    monkeypatch.setattr("qtree.monomial._path_of_runs", no_label)
+    code, out, err = run(capsys, verb, payload)
+    assert (code, out) == (1, "")
+    assert err.startswith("OutputTooLarge:") and "999999999999" in err and "1000000" in err

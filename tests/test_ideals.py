@@ -9,10 +9,13 @@ from qtree import (
     BasePointSet,
     CompleteIdeal,
     InvalidBasePoints,
+    NonsingularModel,
     OrderValuation,
     Point,
     TruncatedTree,
     UnitIdeal,
+    minimal_desingularization,
+    model_from_ideal,
 )
 
 labels = st.sampled_from(["X", "Y", "t1", "t2"])
@@ -155,3 +158,66 @@ def test_canonical_factor_order():
     j = CompleteIdeal.of([P("t1"), ROOT, P("X")])
     assert j.support == (ROOT, P("X"), P("t1"))
     assert str(j) == "D * X * t1"
+
+
+# The base set of an ideal is built once per value and shared by every
+# query that reads it.  These are count gates, not wall-clock gates.
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The base sets constructed while a test runs."""
+    built = []
+    construct = BasePointSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        construct(self)
+
+    monkeypatch.setattr(BasePointSet, "__post_init__", counted)
+    return built
+
+
+def _ideal():
+    # built from paths alone, so no point carries its parent yet
+    return CompleteIdeal.of({Point(("X", "Y", "t1")): 2, Point(("X", "t2")): 1})
+
+
+@pytest.mark.parametrize(
+    "query",
+    ["base_points", "saturate", "terminal_base_points", "is_saturated"],
+)
+def test_each_query_builds_the_base_set_once(builds, query):
+    ideal = _ideal()
+    getattr(ideal, query)()
+    assert len(builds) == 1
+    for other in ("base_points", "saturate", "terminal_base_points", "is_saturated"):
+        getattr(ideal, other)()
+    assert len(builds) == 1
+    assert ideal.base_points() is ideal.saturate().base_points() is builds[0]
+
+
+def test_models_of_an_ideal_build_one_base_set(builds):
+    saturated = CompleteIdeal.of(_ideal().saturate().support)
+    builds.clear()
+    model = model_from_ideal(saturated)
+    assert len(builds) == 1 and model.base is builds[0]
+    builds.clear()
+    model = minimal_desingularization(_ideal())
+    assert len(builds) == 1 and model.base is builds[0]
+    builds.clear()
+    # a model's ideal and a saturation's model reuse the base set they came from
+    assert model.ideal().base_points() is model.base
+    assert model_from_ideal(model.ideal()).base is model.base
+    assert minimal_desingularization(model.ideal()).base is model.base
+    assert builds == []
+
+
+def test_a_saturated_value_carries_its_base_set(builds):
+    base = BasePointSet.downward_closure([P("X", "Y"), P("t1")])
+    builds.clear()
+    ideal = CompleteIdeal.saturated(base)
+    assert ideal.base_points() is base and ideal.is_saturated()
+    assert ideal.terminal_base_points() == base.terminals()
+    assert NonsingularModel(base).ideal() == ideal
+    assert builds == []

@@ -488,3 +488,36 @@ class TestOutputCap:
         monkeypatch.setattr(monomial, "_ceil_div", no_generator)
         with pytest.raises(OutputTooLarge):
             M((10**12, 0), (0, 10**12 - 1)).integral_closure()
+
+
+class TestDepthCap:
+    def test_depth_is_the_sum_of_the_euclidean_quotients(self, monkeypatch):
+        from qtree import OutputTooLarge, monomial
+
+        monkeypatch.setattr(monomial, "MAX_PATH_DEPTH", 4)
+        # (7, 3): one Y step to (4, 3), one to (1, 3), two X steps to (1, 1)
+        assert point_for_valuation(MonomialValuation(7, 3)) == P("Y", "Y", "X", "X")
+        assert point_for_valuation(MonomialValuation(1, 5)).level == 4
+        with pytest.raises(OutputTooLarge):
+            point_for_valuation(MonomialValuation(1, 6))
+        with pytest.raises(OutputTooLarge):
+            point_for_valuation(MonomialValuation(9, 4))  # Y, Y, X, X, X
+
+    def test_a_trillion_labels_are_refused_before_the_first(self, monkeypatch):
+        from qtree import OutputTooLarge, monomial
+
+        def no_label(*args):
+            raise AssertionError("a label was made before the depth check")
+
+        monkeypatch.setattr(monomial, "_path_of_runs", no_label)
+        for p, q in ((1, 10**12), (10**12, 1), (10**12 - 1, 10**12)):
+            with pytest.raises(OutputTooLarge):
+                point_for_valuation(MonomialValuation(p, q))
+        with pytest.raises(OutputTooLarge):
+            factorize(M((10**12, 0), (0, 1)))
+
+
+@given(st.integers(1, 400), st.integers(1, 400))
+def test_runs_of_labels_give_the_subtraction_path(p, q):
+    if math.gcd(p, q) == 1:
+        assert point_for_valuation(MonomialValuation(p, q)).path == oracles.subtraction_path(p, q)

@@ -1,9 +1,12 @@
 """The indexed point core against quadratic reference definitions.
 
-Base-set, fan and antichain queries are answered from a path-keyed index
-and one sweep; ``oracles`` keeps the pairwise definitions they replace.  The
-label alphabet includes ``A``, which sorts before ``X`` as a plain string
-but after ``Y`` in canonical label order.
+Base-set queries are answered from an index keyed by member, fan and
+antichain queries from a path-keyed index and one sweep; ``oracles`` keeps
+the pairwise definitions they replace.  A base set's members may come with
+their parents (made by ``child`` or ``parent``), or each alone from its path,
+or both mixed; the index must answer alike.  The label alphabet includes
+``A``, which sorts before ``X`` as a plain string but after ``Y`` in
+canonical label order.
 """
 
 import os
@@ -21,6 +24,9 @@ from qtree import (
     ROOT,
     BasePointSet,
     CofiniteFan,
+    CompleteIdeal,
+    InvalidBasePoints,
+    NonsingularModel,
     NotAntichain,
     Point,
     SymbolicPointSet,
@@ -39,7 +45,28 @@ def closure(path_list):
     return {Point(p[:i]) for p in path_list for i in range(len(p) + 1)} | {ROOT}
 
 
-base_sets = st.lists(paths, max_size=25).map(closure)
+def linked_closure(path_list):
+    """The same set, each member made by ``child`` from its parent."""
+    made = {(): ROOT}
+    for path in path_list:
+        for i in range(1, len(path) + 1):
+            if path[:i] not in made:
+                made[path[:i]] = made[path[: i - 1]].child(path[i - 1])
+    return set(made.values())
+
+
+def mixed_closure(path_lists):
+    """Members made alone and members made by ``child``, one set."""
+    alone, linked = path_lists
+    return closure(alone) | linked_closure(linked)
+
+
+path_lists = st.lists(paths, max_size=25)
+base_sets = st.one_of(
+    path_lists.map(closure),
+    path_lists.map(linked_closure),
+    st.tuples(path_lists, path_lists).map(mixed_closure),
+)
 fans = st.tuples(points, st.lists(labels, max_size=3)).map(
     lambda t: CofiniteFan(t[0], tuple(t[1]))
 )
@@ -63,6 +90,43 @@ def test_child_labels(pts, base):
     base_set = BasePointSet.of(pts)
     for p in list(pts) + [base]:
         assert base_set.child_labels(p) == oracles.reference_child_labels(pts, p)
+
+
+@given(base_sets)
+def test_closed_points(pts):
+    model = NonsingularModel(BasePointSet.of(pts))
+    assert oracles.parts(model.closed_points()) == oracles.reference_closed_points(pts)
+
+
+@given(path_lists, path_lists)
+def test_union_of_linked_sets(left, right):
+    # each side's members link to their own parents; the union keeps one
+    # of two equal points, so some parents are equal to members, not them
+    union = BasePointSet.of(linked_closure(left)).union(BasePointSet.of(linked_closure(right)))
+    pts = closure(left + right)
+    assert union.points == pts
+    assert union.sorted() == oracles.reference_sorted(pts)
+    assert union.terminals() == oracles.reference_terminals(pts)
+
+
+@given(st.lists(points, min_size=1, max_size=4), st.integers(1, 3))
+def test_is_saturated_matches_the_support_definition(support, mult):
+    ideal = CompleteIdeal.of({p: mult for p in support})
+    assert ideal.is_saturated() == oracles.reference_is_saturated(ideal)
+    assert ideal.saturate().is_saturated()
+
+
+@given(path_lists, st.data())
+def test_a_missing_root_or_parent_is_refused(path_list, data):
+    parents = {path[:i] for path in path_list for i in range(1, len(path))}
+    gap = data.draw(st.sampled_from(sorted(parents))) if parents else None
+    for make in (closure, linked_closure):
+        pts = make(path_list)
+        with pytest.raises(InvalidBasePoints):
+            BasePointSet.of(pts - {ROOT})
+        if gap is not None:
+            with pytest.raises(InvalidBasePoints):
+                BasePointSet.of(pts - {Point(gap)})
 
 
 @given(st.lists(paths, max_size=10))

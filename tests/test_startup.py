@@ -276,3 +276,34 @@ def test_cached_properties_stay_outside_the_value():
     ideal = CompleteIdeal.of([P("X"), P("Y")])
     assert ideal.support == (P("X"), P("Y"))
     assert ideal == CompleteIdeal.of([P("Y"), P("X")])
+    # the base set is cached beside the factors, and a saturated value
+    # arrives with it
+    base = BasePointSet.of([ROOT, P("X"), P("Y")])
+    for value, fresh, text in [
+        (
+            ideal,
+            CompleteIdeal.of([P("Y"), P("X")]),
+            "CompleteIdeal(factors=((Point(path=('X',)), 1), (Point(path=('Y',)), 1)))",
+        ),
+        (
+            CompleteIdeal.saturated(base),
+            CompleteIdeal.of([ROOT, P("X"), P("Y")]),
+            "CompleteIdeal(factors=((Point(path=()), 1), (Point(path=('X',)), 1), "
+            "(Point(path=('Y',)), 1)))",
+        ),
+    ]:
+        assert value.base_points() is value.base_points()
+        assert value == fresh and hash(value) == hash(fresh)
+        assert repr(value) == repr(fresh) == text
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == text
+        assert copy.base_points() == value.base_points()
+        assert copy.base_points().sorted() == value.base_points().sorted()
+
+
+def test_a_pickled_base_set_carries_no_index():
+    # the index nests one list per level, so a long chain would nest past
+    # the pickler's recursion limit; the value is its points alone
+    chain = CompleteIdeal.simple(P(*"X" * 3000)).base_points()
+    copy = pickle.loads(pickle.dumps(chain))
+    assert copy == chain and copy.terminals() == chain.terminals()
