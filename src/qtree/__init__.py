@@ -37,9 +37,7 @@ _EXPORTS = {
         "Verdict",
         "classify",
         "is_complete_representation",
-        "minimal_points",
         "represents_same_ring",
-        "ring_key",
     ),
     "models": (
         "NonsingularModel",
@@ -66,9 +64,6 @@ _EXPORTS = {
         "OrderValuation",
         "Point",
         "SymbolicPointSet",
-        "X_DIR",
-        "Y_DIR",
-        "is_antichain",
         "sorted_points",
     ),
     "truncation": ("DEFAULT_ALPHABET", "TruncatedTree"),

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 
 from . import serialize
 from .errors import OracleMismatch, QTreeError
-from .points import Point, SymbolicPointSet
+from .points import Point, SymbolicPointSet, sorted_points
 
 if TYPE_CHECKING:
     from .monomial import MonomialIdeal
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 MAX_TRUNCATE_LEVEL = 8
 
 
-class ParseFailure(Exception):
+class ParseFailure(ValueError):
     """Input could not be read or did not match the expected shape."""
 
 
@@ -163,7 +163,7 @@ def _cmd_rees(args) -> str:
     ideal = serialize.ideal_from_json(_load_json(args.input))
     valuations = ideal.rees_valuations()
     if args.pretty:
-        centers = sorted((v.center for v in valuations), key=Point.sort_key)
+        centers = sorted_points(v.center for v in valuations)
         return ", ".join(f"ord({c})" for c in centers)
     return _emit_json(serialize.valuations_to_json(valuations))
 
@@ -383,9 +383,6 @@ def main(argv: list[str] | None = None) -> int:
     handler = _COMMANDS[args.verb][0]
     try:
         output = handler(args)
-    except ParseFailure as exc:
-        print(f"ParseError: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2

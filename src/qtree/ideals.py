@@ -33,8 +33,8 @@ class BasePointSet(FrozenValue):
     Base-point sets of m-primary ideals always contain the root and are
     closed under taking parents; this class enforces both.  Construction
     also builds the index every query reads: one node per member, holding
-    the nodes of the members directly above it, the nodes in canonical
-    order, and a table from each member to its node.
+    the nodes of the members directly above it, and the nodes in canonical
+    order.
     """
 
     _fields = ("points",)
@@ -42,14 +42,6 @@ class BasePointSet(FrozenValue):
     def __init__(self, points: frozenset[Point]) -> None:
         object.__setattr__(self, "points", points)
         self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.points == other.points
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.points)
 
     def __reduce__(self):
         # the index is rebuilt from the points, never pickled
@@ -91,16 +83,8 @@ class BasePointSet(FrozenValue):
             if len(above) > 1:
                 above.sort(key=_last_label_key)
             nodes.extend(above)
-        if linked:
-            self.__dict__["_node_of"] = table
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_order", tuple(map(itemgetter(0), nodes)))
-
-    @cached_property
-    def _node_of(self) -> dict[Point, tuple[Point, list]]:
-        """Member -> its node, for queries about a given point; made here
-        when construction did not key its table by member."""
-        return {node[0]: node for node in self._nodes}
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "BasePointSet":
@@ -133,14 +117,10 @@ class BasePointSet(FrozenValue):
         return tuple(p for p, above in self._nodes if not above)
 
     def labels_above(self) -> Iterator[tuple[Point, tuple[str, ...]]]:
-        """Each member in canonical order, with its ``child_labels``."""
+        """Each member in canonical order, with the labels of the members
+        directly above it, in label order."""
         for p, above in self._nodes:
             yield p, tuple(q.path[-1] for q, _ in above) if above else ()
-
-    def child_labels(self, base: Point) -> tuple[str, ...]:
-        """Labels of the members sitting directly above ``base``, in label order."""
-        node = self._node_of.get(base)
-        return () if node is None else tuple(q.path[-1] for q, _ in node[1])
 
     def union(self, other: "BasePointSet") -> "BasePointSet":
         return BasePointSet(self.points | other.points)
@@ -162,14 +142,6 @@ class CompleteIdeal(FrozenValue):
     def __init__(self, factors: tuple[tuple[Point, int], ...] = ()) -> None:
         object.__setattr__(self, "factors", factors)
         self.__post_init__()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
 
     def __post_init__(self) -> None:
         counts: Counter[Point] = Counter()
@@ -212,19 +184,13 @@ class CompleteIdeal(FrozenValue):
     def support(self) -> tuple[Point, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def multiplicity(self, point: Point) -> int:
-        return dict(self.factors).get(point, 0)
-
     def _require_proper(self) -> None:
         if self.is_unit:
             raise UnitIdeal("the unit ideal is not m-primary")
 
-    def multiply(self, other: "CompleteIdeal") -> "CompleteIdeal":
+    def __mul__(self, other: "CompleteIdeal") -> "CompleteIdeal":
         """Ideal product: multiset union of the factor multisets."""
         return CompleteIdeal(self.factors + other.factors)
-
-    def __mul__(self, other: "CompleteIdeal") -> "CompleteIdeal":
-        return self.multiply(other)
 
     def power(self, k: int) -> "CompleteIdeal":
         if k < 1:

@@ -22,7 +22,7 @@ from typing import Union
 
 from .errors import InvalidDescriptor
 from .models import NonsingularModel
-from .points import ROOT, FrozenValue, Point, SymbolicPointSet, X_DIR, Y_DIR
+from .points import ROOT, CofiniteFan, FrozenValue, Point, SymbolicPointSet, X_DIR, Y_DIR
 
 
 class Verdict(str, Enum):
@@ -119,21 +119,29 @@ def _single_fan(subset: SymbolicPointSet):
     return None
 
 
-_DOUBLE_POINT_MODEL = frozenset({ROOT, Point.of(Y_DIR)})
-_DOUBLE_POINT_SUBSET = SymbolicPointSet(
-    singles=(Point.of(Y_DIR, X_DIR),),
-    fans=(SymbolicPointSet.fan(ROOT, (Y_DIR,)).fans[0],),
-)
+# Named examples, not a criterion: name -> (model base set, subset).  A
+# descriptor is named only when its base set and subset equal an entry's, so
+# an equivalent descriptor written over another model gets no name.
+_NAMED_SINGULARITIES = {
+    "ordinary double point": (
+        frozenset({ROOT, Point.of(Y_DIR)}),
+        SymbolicPointSet((Point.of(Y_DIR, X_DIR),), (CofiniteFan(ROOT, (Y_DIR,)),)),
+    ),
+}
 
 
 def classify(d: IntersectionDescriptor) -> Classification:
-    """Count maximal ideals and judge irredundance and essentiality."""
+    """Count maximal ideals and judge irredundance and essentiality.
+
+    ``singularity`` is looked up in a table of named examples, not derived:
+    it is set only for a descriptor equal to one of them.
+    """
     subset = d.subset
     antichain = subset.is_antichain()
     fan = _single_fan(subset)
 
     if subset.is_finite:
-        n = len(subset.finite_points())
+        n = len(subset.singles)
         count: Union[int, str] = n
         count_basis = (
             f"a finite family of {n} pairwise incomparable points intersects to a "
@@ -213,8 +221,9 @@ def classify(d: IntersectionDescriptor) -> Classification:
         )
 
     singularity = None
-    if d.model.base.points == _DOUBLE_POINT_MODEL and subset == _DOUBLE_POINT_SUBSET:
-        singularity = "ordinary double point"
+    for name, (base, named) in _NAMED_SINGULARITIES.items():
+        if d.model.base.points == base and subset == named:
+            singularity = name
 
     return Classification(
         maximal_ideal_count=count,
@@ -226,11 +235,6 @@ def classify(d: IntersectionDescriptor) -> Classification:
         ring_point=ring_point,
         singularity=singularity,
     )
-
-
-def minimal_points(d: IntersectionDescriptor) -> SymbolicPointSet:
-    """The members of the subset minimal under the containment order."""
-    return d.subset.minimal_points()
 
 
 def _common_floor(subset: SymbolicPointSet) -> Point:
@@ -272,16 +276,15 @@ def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def ring_key(d: IntersectionDescriptor) -> tuple[SymbolicPointSet, Verdict]:
-    """Identity of the intersection ring, up to what the calculus can see.
-
-    Non-minimal members never change an intersection, so the ring is keyed
-    by the minimal-point set together with the completeness verdict.
-    """
-    return (minimal_points(d), is_complete_representation(d))
-
-
 def represents_same_ring(
     a: IntersectionDescriptor, b: IntersectionDescriptor
 ) -> bool:
-    return ring_key(a) == ring_key(b)
+    """Whether two descriptors name the same ring, up to what the calculus
+    can see.
+
+    Non-minimal members never change an intersection, so the ring is known
+    by the minimal-point set together with the completeness verdict.
+    """
+    return a.subset.minimal_points() == b.subset.minimal_points() and (
+        is_complete_representation(a) == is_complete_representation(b)
+    )

@@ -19,14 +19,7 @@ from typing import Iterable
 
 from .errors import EmptyInput, NotAntichain, NotSaturated, RootNotAllowed, UnitIdeal
 from .ideals import BasePointSet, CompleteIdeal
-from .points import (
-    CofiniteFan,
-    FrozenValue,
-    Point,
-    SymbolicPointSet,
-    is_antichain,
-    sorted_points,
-)
+from .points import CofiniteFan, FrozenValue, Point, SymbolicPointSet, sorted_points
 
 
 class NonsingularModel(FrozenValue):
@@ -96,7 +89,8 @@ def _validated_antichain(points: Iterable[Point]) -> tuple[Point, ...]:
         raise EmptyInput("at least one point is required")
     if any(p.is_root for p in pts):
         raise RootNotAllowed("the root lies on no projective model over itself")
-    if not is_antichain(pts):
+    # a point listed twice is comparable to itself
+    if len(set(pts)) != len(pts) or not SymbolicPointSet.of_points(pts).is_antichain():
         raise NotAntichain("the points must be pairwise incomparable")
     return pts
 

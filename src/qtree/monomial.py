@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cmp_to_key
 from typing import Iterable
 
 from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary, OutputTooLarge
@@ -77,14 +78,6 @@ class MonomialIdeal(FrozenValue):
         object.__setattr__(self, "gens", gens)
         self.__post_init__()
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.gens == other.gens
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.gens)
-
     def __post_init__(self) -> None:
         if not self.gens:
             raise ValueError("a monomial ideal needs at least one generator")
@@ -126,9 +119,6 @@ class MonomialIdeal(FrozenValue):
                 "and a power of y"
             )
 
-    def contains_exponent(self, a: int, b: int) -> bool:
-        return any(a >= ga and b >= gb for ga, gb in self.gens)
-
     def order(self) -> int:
         """The largest power of the maximal ideal containing this ideal."""
         self._require_m_primary()
@@ -161,14 +151,11 @@ class MonomialIdeal(FrozenValue):
         if self.integral_closure() != self:
             raise NotComplete("the ideal is smaller than its integral closure")
 
-    def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
+    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Generator-level product; not integrally closed in general."""
         return MonomialIdeal(
             tuple((a1 + a2, b1 + b2) for a1, b1 in self.gens for a2, b2 in other.gens)
         )
-
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return self.multiply(other)
 
     def quadratic_transform(self, direction: str) -> "MonomialIdeal":
         """Transform at the coordinate point in the given direction.
@@ -208,8 +195,7 @@ class MonomialIdeal(FrozenValue):
                 parts.append("y" if b == 1 else f"y^{b}")
             return " ".join(parts)
 
-        ordered = sorted(self.gens, key=lambda g: (-g[0], g[1]))
-        return ", ".join(term(a, b) for a, b in ordered)
+        return ", ".join(term(a, b) for a, b in reversed(self.gens))
 
     _TERM_RE = re.compile(r"^(?:x(?:\^(\d+))?)?(?:y(?:\^(\d+))?)?$")
 
@@ -296,27 +282,6 @@ class NewtonRegion(FrozenValue):
             )
         return cls(vertices=tuple(hull), edges=tuple(edges))
 
-    def to_svg(self, scale: int = 20, margin: int = 10) -> str:
-        """The polygon boundary as an SVG polyline (y axis pointing up)."""
-        b_max = self.vertices[0][1]
-        a_max = self.vertices[-1][0]
-        width = a_max * scale + 2 * margin
-        height = b_max * scale + 2 * margin
-
-        def xy(a: int, b: int) -> str:
-            return f"{margin + a * scale},{margin + (b_max - b) * scale}"
-
-        points = " ".join(xy(a, b) for a, b in self.vertices)
-        axes = (
-            f'<polyline points="{xy(0, b_max)} {xy(0, 0)} {xy(a_max, 0)}" '
-            'fill="none" stroke="#999" stroke-dasharray="4 3"/>'
-        )
-        poly = f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2"/>'
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">{axes}{poly}</svg>'
-        )
-
 
 class MonomialValuation(FrozenValue):
     """The monomial valuation with v(x) = p, v(y) = q, p and q coprime.
@@ -338,21 +303,6 @@ class MonomialValuation(FrozenValue):
 
     def value(self, a: int, b: int) -> int:
         return self.p * a + self.q * b
-
-    def binomial_value(self) -> int:
-        """The value of x + y, namely min(p, q).
-
-        For p != q the two terms have distinct values, so the minimum is the
-        value of the sum.  For p = q = 1 this is the order valuation of the
-        root, where x + y has order 1 because its degree-1 leading form is
-        nonzero.  Either way no cancellation can lower the sum below the
-        minimum, which is what makes this ideal-membership arithmetic sound.
-        """
-        return min(self.p, self.q)
-
-    def element_value(self, a: int, b: int, binomial_exp: int = 0) -> int:
-        """The value of x^a y^b (x + y)^binomial_exp."""
-        return self.value(a, b) + binomial_exp * self.binomial_value()
 
     def __str__(self) -> str:
         return f"v({self.p},{self.q})"
@@ -479,24 +429,27 @@ def generators_for_ideal(ideal: CompleteIdeal) -> MonomialIdeal:
     return _closure_of_polygon(_lay_edges((0, -sum(db for _, db in steps)), steps))
 
 
+# edge vectors (da, db), da > 0, in increasing slope db/da
+_by_slope = cmp_to_key(lambda u, v: u[1] * v[0] - v[1] * u[0])
+
+
 def _lay_edges(
     start: Exponent, steps: Iterable[tuple[int, int]]
 ) -> tuple[Exponent, ...]:
     """Vertices of the polygon that leaves ``start`` along the edge vectors
     (da, db), da > 0 > db, in increasing slope order, with parallel runs
-    fused into one edge."""
-    # imported here, so that the verbs which lay no edges never load it
-    from fractions import Fraction
-
+    fused into one edge.  As da > 0, db/da < db'/da' iff db*da' < db'*da,
+    so slopes are compared exactly in integers."""
     vertices = [start]
-    last = None
-    for slope, da, db in sorted((Fraction(db, da), da, db) for da, db in steps):
+    # slope 0, which no edge has
+    last_da, last_db = 1, 0
+    for da, db in sorted(steps, key=_by_slope):
         a, b = vertices[-1]
-        if slope == last:
+        if db * last_da == last_db * da:
             vertices[-1] = (a + da, b + db)
         else:
             vertices.append((a + da, b + db))
-        last = slope
+        last_da, last_db = da, db
     return tuple(vertices)
 
 

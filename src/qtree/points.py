@@ -40,6 +40,12 @@ def label_key(label: str) -> tuple[int, str]:
 _BAD_LABEL = "direction labels must be nonempty strings"
 
 
+def _check_labels(labels: Iterable[str]) -> None:
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise ValueError(_BAD_LABEL)
+
+
 class FrozenValue:
     """An immutable value: equal to another of its class with equal fields.
 
@@ -104,9 +110,7 @@ class Point(FrozenValue):
         if not isinstance(path, tuple):
             path = tuple(path)
             object.__setattr__(self, "path", path)
-        for label in path:
-            if not isinstance(label, str) or not label:
-                raise ValueError(_BAD_LABEL)
+        _check_labels(path)
         object.__setattr__(self, "_hash", hash(path))
 
     def __hash__(self) -> int:
@@ -225,8 +229,9 @@ class CofiniteFan(FrozenValue):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        canonical = tuple(sorted(set(self.excluded), key=label_key))
-        object.__setattr__(self, "excluded", canonical)
+        labels = set(self.excluded)
+        _check_labels(labels)
+        object.__setattr__(self, "excluded", tuple(sorted(labels, key=label_key)))
 
     def __str__(self) -> str:
         if not self.excluded:
@@ -325,11 +330,6 @@ class SymbolicPointSet(FrozenValue):
     def is_finite(self) -> bool:
         return not self.fans
 
-    def finite_points(self) -> tuple[Point, ...]:
-        if self.fans:
-            raise ValueError("the set contains a cofinite fan and is infinite")
-        return self.singles
-
     def union(self, *others: "SymbolicPointSet") -> "SymbolicPointSet":
         singles = self.singles
         fans = self.fans
@@ -419,13 +419,3 @@ class SymbolicPointSet(FrozenValue):
         if self.singles:
             parts.append("{" + ", ".join(str(p) for p in self.singles) + "}")
         return " + ".join(parts) if parts else "{}"
-
-
-def is_antichain(points: Iterable[Point]) -> bool:
-    """True iff no two entries of the collection are comparable.
-
-    A point listed twice is comparable to itself, so a repeat makes the
-    collection no antichain.
-    """
-    pts = tuple(points)
-    return len(set(pts)) == len(pts) and SymbolicPointSet.of_points(pts).is_antichain()

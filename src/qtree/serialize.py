@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from .ideals import BasePointSet, CompleteIdeal
-from .points import CofiniteFan, OrderValuation, Point, SymbolicPointSet
+from .points import CofiniteFan, OrderValuation, Point, SymbolicPointSet, sorted_points
 
 if TYPE_CHECKING:
     from .intersections import Classification, IntersectionDescriptor
@@ -120,7 +120,7 @@ def base_points_to_json(base: BasePointSet) -> dict:
 
 
 def valuations_to_json(valuations: frozenset[OrderValuation]) -> dict:
-    centers = sorted((v.center for v in valuations), key=Point.sort_key)
+    centers = sorted_points(v.center for v in valuations)
     return {"valuations": [{"center": point_to_json(c)} for c in centers]}
 
 
@@ -182,8 +182,7 @@ def classification_to_json(c: Classification) -> dict:
 
 
 def monomial_to_json(ideal: MonomialIdeal) -> dict:
-    ordered = sorted(ideal.gens, key=lambda g: (-g[0], g[1]))
-    return {"gens": [[a, b] for a, b in ordered]}
+    return {"gens": [[a, b] for a, b in reversed(ideal.gens)]}
 
 
 def monomial_from_json(obj: Any) -> MonomialIdeal:

@@ -288,6 +288,16 @@ def test_parse_errors_exit_2(capsys):
     assert "schema" in err
 
 
+def test_empty_excluded_label_is_a_parse_error(capsys):
+    # Q1(D) - {""} was read as the full first neighborhood under another
+    # name, and classified essential with no ring point
+    fan = {"base": {"path": []}, "excluded": [""]}
+    descriptor = json.dumps({"model": {"base": [{"path": []}]}, "subset": {"cofinite": [fan]}})
+    error = "ParseError: direction labels must be nonempty strings\n"
+    assert run(capsys, "classify", descriptor, "--pretty") == (2, "", error)
+    assert run(capsys, "minimal-model", '{"points":[{"path":[""]}]}') == (2, "", error)
+
+
 @pytest.mark.parametrize(
     "verb, payload",
     [

@@ -45,9 +45,10 @@ class TestBasePointSet:
 
     def test_child_labels(self):
         base = BasePointSet.of([ROOT, P("X"), P("Y"), P("X", "Y")])
-        assert base.child_labels(ROOT) == ("X", "Y")
-        assert base.child_labels(P("X")) == ("Y",)
-        assert base.child_labels(P("Y")) == ()
+        above = dict(base.labels_above())
+        assert above[ROOT] == ("X", "Y")
+        assert above[P("X")] == ("Y",)
+        assert above[P("Y")] == ()
 
 
 def test_multiply_unit_is_identity():

@@ -12,7 +12,6 @@ from qtree import (
     Verdict,
     classify,
     is_complete_representation,
-    minimal_points,
     represents_same_ring,
 )
 from oracles import TruncatedTree
@@ -188,17 +187,17 @@ class TestClassify:
 class TestMinimalPoints:
     def test_finite_antichain_is_fixed(self):
         d = IntersectionDescriptor(EX_MODEL, singles(P("X", "Y"), P("Y", "X")))
-        assert minimal_points(d) == d.subset
+        assert d.subset.minimal_points() == d.subset
 
     def test_fan_absorbs_deeper_single(self):
         subset = fan(ROOT).union(singles(P("X", "Y")))
         d = IntersectionDescriptor(model_of(ROOT, P("X")), subset)
-        assert minimal_points(d) == fan(ROOT)
+        assert d.subset.minimal_points() == fan(ROOT)
 
     def test_classify_flags_non_minimal_subsets(self):
         subset = fan(ROOT).union(singles(P("X", "Y")))
         d = IntersectionDescriptor(model_of(ROOT, P("X")), subset)
-        assert minimal_points(d) != d.subset
+        assert d.subset.minimal_points() != d.subset
         assert classify(d).irredundant is Verdict.NO
 
 

@@ -11,7 +11,6 @@ from qtree import (
     RootHasNoParent,
     SymbolicPointSet,
     TruncatedTree,
-    is_antichain,
     sorted_points,
 )
 
@@ -50,6 +49,9 @@ def test_meet():
 
 
 def test_is_antichain():
+    def is_antichain(points):
+        return SymbolicPointSet.of_points(points).is_antichain()
+
     assert is_antichain({P("X"), P("Y")})
     assert not is_antichain({ROOT, P("X")})
     assert is_antichain({P("X", "Y"), P("Y", "X")})
@@ -199,6 +201,18 @@ class TestSymbolicPointSet:
         assert SymbolicPointSet(
             fans=(CofiniteFan(ROOT, ("X",)), CofiniteFan(P("X")))
         ).is_antichain()
+
+    def test_fan_refuses_an_empty_excluded_label(self):
+        # no point carries the label "", so Q1(D) - {""} would be the full
+        # fan under another name; it is refused as an empty path label is
+        for make in (
+            lambda: Point(("",)),
+            lambda: CofiniteFan(ROOT, ("",)),
+            lambda: SymbolicPointSet.fan(ROOT, ("X", "")),
+            lambda: CofiniteFan(ROOT, (3,)),
+        ):
+            with pytest.raises(ValueError, match="^direction labels must be nonempty strings$"):
+                make()
 
 
 # randomized soundness of the symbolic representation against enumeration

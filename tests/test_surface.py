@@ -1,0 +1,36 @@
+"""The public surface is what the command line, the README and the tests use.
+
+Every name in ``qtree.__all__`` must be referenced by ``cli.py``, the README
+or a test other than this file, so a name that no caller needs cannot be
+exported.  The README's library example runs as written.
+"""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import qtree
+
+REPO = Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
+
+
+def test_every_public_name_has_a_caller():
+    callers = [REPO / "src" / "qtree" / "cli.py", README]
+    callers += [p for p in (REPO / "tests").rglob("*.py") if p.name != Path(__file__).name]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in callers)
+    unused = [name for name in qtree.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []
+
+
+def test_readme_library_example_prints_its_comments():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", text, re.S).group(1)
+    expected = [
+        line.partition("# ")[2] for line in block.splitlines() if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert expected and out.getvalue().splitlines() == expected
