@@ -66,7 +66,7 @@ _EXPORTS = {
         "SymbolicPointSet",
         "sorted_points",
     ),
-    "truncation": ("DEFAULT_ALPHABET", "TruncatedTree"),
+    "truncation": ("TruncatedTree",),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "render", "serialize"}
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

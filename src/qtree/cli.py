@@ -22,6 +22,7 @@ from .points import Point, SymbolicPointSet, sorted_points
 
 if TYPE_CHECKING:
     from .monomial import MonomialIdeal
+    from .truncation import TruncatedTree
 
 # ``--truncate L`` enumerates every point of the four-label tree up to level
 # L, 4**L of them at the deepest level alone: about 2 s at level 8, and each
@@ -126,16 +127,15 @@ def _truncate_level(args) -> int | None:
     return level
 
 
-def _cross_check_pointset(result: SymbolicPointSet, expected_member, level: int) -> None:
-    """Compare symbolic membership against literal enumeration up to a level."""
-    from .truncation import DEFAULT_ALPHABET, TruncatedTree
-
-    tree = TruncatedTree(alphabet=DEFAULT_ALPHABET, max_level=level)
+def _cross_check_pointset(
+    result: SymbolicPointSet, expected_member, tree: TruncatedTree
+) -> None:
+    """Compare symbolic membership against literal enumeration of the tree."""
     for p in tree.points:
         if (p in result) != expected_member(p):
             raise OracleMismatch(
                 f"symbolic membership of {p} disagrees with the brute-force "
-                f"oracle at level cap {level}"
+                f"oracle at level cap {tree.max_level}"
             )
 
 
@@ -173,7 +173,10 @@ def _cmd_closed_points(args) -> str:
     model = serialize.model_from_json(_load_json(args.input))
     closed = model.closed_points()
     if level is not None:
-        _cross_check_pointset(closed, model.contains_point, level)
+        from .truncation import TruncatedTree
+
+        tree = TruncatedTree(max_level=level)
+        _cross_check_pointset(closed, model.contains_point, tree)
     if args.pretty:
         return str(closed)
     return _emit_json(serialize.pointset_to_json(closed))
@@ -226,8 +229,9 @@ def _cmd_min_incomparable(args) -> str:
     if level is not None:
         from .truncation import TruncatedTree
 
-        oracle = TruncatedTree(max_level=level).minimal_incomparable(points)
-        _cross_check_pointset(result, lambda p: p in oracle, level)
+        tree = TruncatedTree(max_level=level)
+        oracle = tree.minimal_incomparable(points)
+        _cross_check_pointset(result, lambda p: p in oracle, tree)
     if args.pretty:
         return str(result)
     return _emit_json(serialize.pointset_to_json(result))

@@ -268,10 +268,8 @@ def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
         return Verdict.NO
     if d.henselian and subset.is_subset(closed):
         return Verdict.NO
-    root_fan_only = all(f.base.is_root for f in subset.fans) and all(
-        p.level == 1 for p in subset.singles
-    )
-    if root_fan_only and subset != SymbolicPointSet.fan(ROOT):
+    root_fan = SymbolicPointSet.fan(ROOT)
+    if subset.is_subset(root_fan) and subset != root_fan:
         return Verdict.NO
     return Verdict.UNKNOWN
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import EmptyInput, NotAntichain, NotSaturated, RootNotAllowed, UnitIdeal
 from .ideals import BasePointSet, CompleteIdeal
-from .points import CofiniteFan, FrozenValue, Point, SymbolicPointSet, sorted_points
+from .points import CofiniteFan, FrozenValue, Point, SymbolicPointSet
 
 
 class NonsingularModel(FrozenValue):
@@ -84,15 +84,16 @@ def minimal_desingularization(ideal: CompleteIdeal) -> NonsingularModel:
 
 
 def _validated_antichain(points: Iterable[Point]) -> tuple[Point, ...]:
-    pts = sorted_points(points)
+    pts = tuple(points)
     if not pts:
         raise EmptyInput("at least one point is required")
     if any(p.is_root for p in pts):
         raise RootNotAllowed("the root lies on no projective model over itself")
+    antichain = SymbolicPointSet.of_points(pts)
     # a point listed twice is comparable to itself
-    if len(set(pts)) != len(pts) or not SymbolicPointSet.of_points(pts).is_antichain():
+    if len(antichain.singles) != len(pts) or not antichain.is_antichain():
         raise NotAntichain("the points must be pairwise incomparable")
-    return pts
+    return antichain.singles
 
 
 def minimal_model_containing(points: Iterable[Point]) -> NonsingularModel:
@@ -112,6 +113,5 @@ def minimal_incomparable_set(points: Iterable[Point]) -> SymbolicPointSet:
     Computed as the closed points of the minimal model containing the given
     antichain, minus the antichain itself.
     """
-    pts = _validated_antichain(points)
-    model = minimal_model_containing(pts)
-    return model.closed_points().minus(pts)
+    pts = tuple(points)
+    return minimal_model_containing(pts).closed_points().minus(pts)

@@ -53,9 +53,8 @@ class FrozenValue:
     with ``object.__setattr__``, since assignment and deletion are refused
     afterwards.  Equality, hash and ``repr`` read only those fields, so
     caches kept beside them (``cached_property`` values, indexes, flags)
-    never change the value.  The values compared most often spell out
-    ``__eq__`` and ``__hash__`` over their fields, which is faster than the
-    generic pair here.
+    never change the value.  Only :class:`Point` spells out ``__eq__`` and
+    ``__hash__``, to hash its path once and keep that hash.
     """
 
     __slots__ = ()
@@ -257,40 +256,33 @@ class SymbolicPointSet(FrozenValue):
         object.__setattr__(self, "fans", fans)
         self.__post_init__()
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.singles == other.singles and self.fans == other.fans
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.singles, self.fans))
-
     def __post_init__(self) -> None:
-        # base path -> (base, excluded labels)
-        bases: dict[tuple[str, ...], tuple[Point, set[str]]] = {}
+        # base path -> the fan over that base; a fan is kept as given unless
+        # another part changes its excluded labels
+        fans: dict[tuple[str, ...], CofiniteFan] = {}
         for fan in self.fans:
-            entry = bases.get(fan.base.path)
-            if entry is None:
-                bases[fan.base.path] = (fan.base, set(fan.excluded))
+            path = fan.base.path
+            kept = fans.get(path)
+            if kept is None:
+                fans[path] = fan
             else:
                 # union of two cofinite sets over one base excludes only
                 # the directions excluded by both
-                entry[1].intersection_update(fan.excluded)
+                common = tuple(set(kept.excluded).intersection(fan.excluded))
+                if len(common) != len(kept.excluded):
+                    fans[path] = CofiniteFan(kept.base, common)
         singles = set()
         for p in self.singles:
-            entry = bases.get(p.path[:-1]) if p.path else None
-            if entry is None:
+            path = p.path
+            fan = fans.get(path[:-1]) if path else None
+            if fan is None:
                 singles.add(p)
-            else:
-                entry[1].discard(p.path[-1])
+            elif path[-1] in fan.excluded:
+                excluded = tuple(l for l in fan.excluded if l != path[-1])
+                fans[path[:-1]] = CofiniteFan(fan.base, excluded)
         object.__setattr__(self, "singles", sorted_points(singles))
         object.__setattr__(
-            self,
-            "fans",
-            tuple(
-                CofiniteFan(base, tuple(excl))
-                for base, excl in sorted(bases.values(), key=lambda e: e[0].sort_key())
-            ),
+            self, "fans", tuple(sorted(fans.values(), key=lambda f: f.base.sort_key()))
         )
 
     @classmethod
@@ -394,8 +386,12 @@ class SymbolicPointSet(FrozenValue):
         return below
 
     def is_antichain(self) -> bool:
-        """True iff no two distinct members of the set are comparable."""
-        return self.minimal_points() == self
+        """True iff no two distinct members of the set are comparable: no
+        member lies below a single or a fan base, and no fan's base is a
+        single."""
+        return not any(self._member_below().values()) and not any(
+            f.base in self._single_set for f in self.fans
+        )
 
     def minimal_points(self) -> "SymbolicPointSet":
         """The members minimal under the containment order.

@@ -15,15 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .points import (
-    ROOT,
-    FrozenValue,
-    Point,
-    SymbolicPointSet,
-    X_DIR,
-    Y_DIR,
-    sorted_points,
-)
+from .points import ROOT, FrozenValue, Point, SymbolicPointSet, X_DIR, Y_DIR, label_key
 
 DEFAULT_ALPHABET = (X_DIR, Y_DIR, "t1", "t2")
 
@@ -41,16 +33,16 @@ class TruncatedTree(FrozenValue):
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
-        # built child by child, so each point already holds its parent
+        # level by level, each level the children of the one before in
+        # label order: canonical order with no sort; and each point is made
+        # from its parent, so it holds it
+        labels = sorted(self.alphabet, key=label_key)
         pts = [ROOT]
         level = [ROOT]
         for _ in range(self.max_level):
-            level = [p.child(label) for p in level for label in self.alphabet]
+            level = [p.child(label) for p in level for label in labels]
             pts.extend(level)
-        return sorted_points(pts)
-
-    def __contains__(self, p: Point) -> bool:
-        return p.level <= self.max_level and all(l in self.alphabet for l in p.path)
+        return tuple(pts)
 
     def members(self, sset: SymbolicPointSet) -> frozenset[Point]:
         """Brute-force membership of a symbolic set within the truncation."""

@@ -250,6 +250,24 @@ def test_file_input(capsys, tmp_path):
     assert len(json.loads(out)["factors"]) == 2
 
 
+@pytest.mark.parametrize("verb", ["closure", "factorize"])
+def test_generator_text_from_a_file_and_stdin(capsys, monkeypatch, tmp_path, verb):
+    import io
+
+    gens = "x^2, x y, y^3"
+    path = tmp_path / "gens.txt"
+    path.write_text(gens + "\n", encoding="utf-8")
+    inline = run(capsys, verb, gens, "--pretty")
+    assert inline[0] == 0
+    assert run(capsys, verb, str(path), "--pretty") == inline
+    monkeypatch.setattr("sys.stdin", io.StringIO(gens + "\n"))
+    assert run(capsys, verb, "-", "--pretty") == inline
+    path.write_text("not a monomial\n", encoding="utf-8")
+    code, out, err = run(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError:")
+
+
 def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "saturate", '{"factors":[]}')
     assert code == 1

@@ -32,7 +32,9 @@ from qtree import (
     Point,
     RootNotAllowed,
     SymbolicPointSet,
+    TruncatedTree,
     minimal_model_containing,
+    sorted_points,
 )
 from qtree.cli import main
 
@@ -158,6 +160,18 @@ def test_minimal_points(s):
 @given(symbolic_sets)
 def test_set_is_antichain(s):
     assert s.is_antichain() == oracles.reference_set_antichain(s)
+
+
+@given(symbolic_sets)
+def test_is_antichain_iff_the_set_is_its_own_minimal_points(s):
+    assert s.is_antichain() == (s.minimal_points() == s)
+
+
+@given(st.lists(labels, min_size=1, max_size=4, unique=True), st.integers(0, 3))
+def test_truncated_tree_lists_its_points_in_canonical_order(alphabet, level):
+    pts = TruncatedTree(alphabet=tuple(alphabet), max_level=level).points
+    assert pts == sorted_points(pts)
+    assert len(set(pts)) == sum(len(alphabet) ** i for i in range(level + 1))
 
 
 @given(st.lists(points, max_size=6))

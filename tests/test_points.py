@@ -202,6 +202,12 @@ class TestSymbolicPointSet:
             fans=(CofiniteFan(ROOT, ("X",)), CofiniteFan(P("X")))
         ).is_antichain()
 
+    def test_str_lists_fans_then_singles(self):
+        assert str(SymbolicPointSet.empty()) == "{}"
+        assert str(SymbolicPointSet.of_points([P("X", "Y"), P("t1")])) == "{t1, X.Y}"
+        s = SymbolicPointSet((P("X", "Y"), P("t1")), (CofiniteFan(P("Y"), ("t2", "X")),))
+        assert str(s) == "Q1(Y) - {X, t2} + {t1, X.Y}"
+
     def test_fan_refuses_an_empty_excluded_label(self):
         # no point carries the label "", so Q1(D) - {""} would be the full
         # fan under another name; it is refused as an empty path label is
