@@ -7,20 +7,25 @@ and DOT where a model is produced and ``--dot`` is given.
 
 Exit status: 0 on success, 1 on domain errors (the error class name is
 printed on stderr), 2 on parse errors.
+
+This module only parses arguments, reads input, dispatches and maps errors
+to exit codes: every verb decodes its input, runs one library operation and
+emits the answer.  The JSON format, the schema tag included, belongs to
+``serialize``; a malformed input raises ``ValueError`` there or here.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import serialize
 from .errors import OracleMismatch, QTreeError
 from .points import Point, SymbolicPointSet, sorted_points
 
 if TYPE_CHECKING:
+    from .intersections import Classification
     from .monomial import MonomialIdeal
     from .truncation import TruncatedTree
 
@@ -30,65 +35,62 @@ if TYPE_CHECKING:
 MAX_TRUNCATE_LEVEL = 8
 
 
-class ParseFailure(ValueError):
-    """Input could not be read or did not match the expected shape."""
-
-
-def _read_raw(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    stripped = source.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return source
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseFailure(f"cannot read input {source!r}: {exc}") from exc
-
-
-def _parse_json(raw: str) -> Any:
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"invalid JSON: {exc}") from exc
-    if isinstance(obj, dict):
-        tag = obj.get("schema")
-        if tag is not None and tag != serialize.SCHEMA:
-            raise ParseFailure(
-                f"unsupported schema {tag!r}; this tool speaks {serialize.SCHEMA!r}"
-            )
-    return obj
-
-
-def _load_json(source: str) -> Any:
-    return _parse_json(_read_raw(source))
-
-
-def _load_monomial(source: str) -> MonomialIdeal:
-    from .monomial import MonomialIdeal
-
-    if source != "-" and not source.lstrip().startswith("{"):
+def _load(args, decode: Callable[[Any], Any], parse_text: Callable[[str], Any] | None = None):
+    """The verb's input, decoded.  A verb that also reads generator text
+    passes ``parse_text``, which reads any input that is not a JSON object."""
+    source = args.input
+    if parse_text and source != "-" and not source.lstrip().startswith("{"):
         # inline generator text wins over a path when it parses as monomials
         try:
-            return MonomialIdeal.from_text(source)
+            return parse_text(source)
         except ValueError:
             pass
-    raw = _read_raw(source)
-    if raw.lstrip().startswith("{"):
-        return serialize.monomial_from_json(_parse_json(raw))
-    try:
-        return MonomialIdeal.from_text(raw.strip())
-    except ValueError as exc:
-        raise ParseFailure(str(exc)) from exc
+    if source == "-":
+        raw = sys.stdin.read()
+    elif source.lstrip().startswith(("{", "[")):
+        raw = source
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read input {source!r}: {exc}") from exc
+    if parse_text and not raw.lstrip().startswith("{"):
+        return parse_text(raw.strip())
+    return decode(serialize.loads(raw))
 
 
-def _emit_json(payload: dict) -> str:
-    payload = {"schema": serialize.SCHEMA, **payload}
-    return json.dumps(payload, sort_keys=True)
+def _load_monomial(args) -> MonomialIdeal:
+    from .monomial import MonomialIdeal
+
+    return _load(args, serialize.monomial_from_json, MonomialIdeal.from_text)
 
 
-def _pretty_classification(c: dict) -> str:
+def _emit(args, value, to_json: Callable[[Any], dict], pretty: Callable[[Any], str] = str) -> str:
+    """``value`` as text under ``--pretty``, else as tagged JSON."""
+    return pretty(value) if args.pretty else serialize.dumps(to_json(value))
+
+
+def _emit_model(args, model) -> str:
+    if args.dot:
+        from .render import model_to_dot
+
+        return model_to_dot(model)
+    return _emit(args, model, serialize.model_to_json, _pretty_model)
+
+
+def _pretty_model(model) -> str:
+    base = model.base
+    terminal = ", ".join(str(p) for p in base.terminals())
+    return f"base: {base}\nterminal: {{{terminal}}}"
+
+
+def _pretty_valuations(valuations) -> str:
+    return ", ".join(f"ord({c})" for c in sorted_points(v.center for v in valuations))
+
+
+def _pretty_classification(classification: Classification) -> str:
+    c = serialize.classification_to_json(classification)
     lines = []
     for key in (
         "noetherian",
@@ -110,27 +112,21 @@ def _pretty_classification(c: dict) -> str:
     return "\n".join(lines)
 
 
-def _points_argument(obj: Any) -> tuple[Point, ...]:
-    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
-        raise ParseFailure("expected {'points': [point...]}")
-    return tuple(serialize.point_from_json(p) for p in obj["points"])
+def _to_text(ideal: MonomialIdeal) -> str:
+    return ideal.to_text()
 
 
-def _truncate_level(args) -> int | None:
-    """The ``--truncate`` level, refused outside 1..MAX_TRUNCATE_LEVEL before
-    any input is read."""
-    level = args.truncate
-    if level is not None and not 1 <= level <= MAX_TRUNCATE_LEVEL:
-        raise ParseFailure(
-            f"--truncate takes a level from 1 to {MAX_TRUNCATE_LEVEL}, not {level}"
-        )
-    return level
-
-
-def _cross_check_pointset(
-    result: SymbolicPointSet, expected_member, tree: TruncatedTree
+def _cross_check(
+    args, result: SymbolicPointSet, oracle: Callable[[TruncatedTree], Callable[[Point], bool]]
 ) -> None:
-    """Compare symbolic membership against literal enumeration of the tree."""
+    """Under ``--truncate``, compare symbolic membership against literal
+    enumeration of the tree; ``oracle(tree)`` is the expected membership."""
+    if args.truncate is None:
+        return
+    from .truncation import TruncatedTree
+
+    tree = TruncatedTree(max_level=args.truncate)
+    expected_member = oracle(tree)
     for p in tree.points:
         if (p in result) != expected_member(p):
             raise OracleMismatch(
@@ -140,163 +136,102 @@ def _cross_check_pointset(
 
 
 def _cmd_saturate(args) -> str:
-    ideal = serialize.ideal_from_json(_load_json(args.input))
-    saturated = ideal.saturate()
+    saturated = _load(args, serialize.ideal_from_json).saturate()
     if args.generators:
         from .monomial import generators_for_ideal
 
         return generators_for_ideal(saturated).to_text()
-    if args.pretty:
-        return str(saturated)
-    return _emit_json(serialize.ideal_to_json(saturated))
+    return _emit(args, saturated, serialize.ideal_to_json)
 
 
 def _cmd_base_points(args) -> str:
-    ideal = serialize.ideal_from_json(_load_json(args.input))
-    base = ideal.base_points()
-    if args.pretty:
-        return str(base)
-    return _emit_json(serialize.base_points_to_json(base))
+    base = _load(args, serialize.ideal_from_json).base_points()
+    return _emit(args, base, serialize.base_points_to_json)
 
 
 def _cmd_rees(args) -> str:
-    ideal = serialize.ideal_from_json(_load_json(args.input))
-    valuations = ideal.rees_valuations()
-    if args.pretty:
-        centers = sorted_points(v.center for v in valuations)
-        return ", ".join(f"ord({c})" for c in centers)
-    return _emit_json(serialize.valuations_to_json(valuations))
+    valuations = _load(args, serialize.ideal_from_json).rees_valuations()
+    return _emit(args, valuations, serialize.valuations_to_json, _pretty_valuations)
 
 
 def _cmd_closed_points(args) -> str:
-    level = _truncate_level(args)
-    model = serialize.model_from_json(_load_json(args.input))
+    model = _load(args, serialize.model_from_json)
     closed = model.closed_points()
-    if level is not None:
-        from .truncation import TruncatedTree
-
-        tree = TruncatedTree(max_level=level)
-        _cross_check_pointset(closed, model.contains_point, tree)
-    if args.pretty:
-        return str(closed)
-    return _emit_json(serialize.pointset_to_json(closed))
-
-
-def _emit_model(model, args) -> str:
-    if args.dot:
-        from .render import model_to_dot
-
-        return model_to_dot(model)
-    if args.pretty:
-        base = model.base
-        terminal = ", ".join(str(p) for p in base.terminals())
-        return f"base: {base}\nterminal: {{{terminal}}}"
-    return _emit_json(serialize.model_to_json(model))
+    _cross_check(args, closed, lambda tree: model.contains_point)
+    return _emit(args, closed, serialize.pointset_to_json)
 
 
 def _cmd_desingularize(args) -> str:
     from .models import minimal_desingularization
 
-    ideal = serialize.ideal_from_json(_load_json(args.input))
-    return _emit_model(minimal_desingularization(ideal), args)
+    ideal = _load(args, serialize.ideal_from_json)
+    return _emit_model(args, minimal_desingularization(ideal))
 
 
 def _cmd_join(args) -> str:
-    obj = _load_json(args.input)
-    if not isinstance(obj, dict) or not isinstance(obj.get("models"), list):
-        raise ParseFailure("expected {'models': [model, model]}")
-    entries = obj["models"]
-    if len(entries) != 2:
-        raise ParseFailure("the join takes exactly two models")
-    left = serialize.model_from_json(entries[0])
-    right = serialize.model_from_json(entries[1])
-    return _emit_model(left.join(right), args)
+    left, right = _load(args, serialize.model_pair_from_json)
+    return _emit_model(args, left.join(right))
 
 
 def _cmd_minimal_model(args) -> str:
     from .models import minimal_model_containing
 
-    points = _points_argument(_load_json(args.input))
-    return _emit_model(minimal_model_containing(points), args)
+    points = _load(args, serialize.point_list_from_json)
+    return _emit_model(args, minimal_model_containing(points))
 
 
 def _cmd_min_incomparable(args) -> str:
-    level = _truncate_level(args)
     from .models import minimal_incomparable_set
 
-    points = _points_argument(_load_json(args.input))
+    points = _load(args, serialize.point_list_from_json)
     result = minimal_incomparable_set(points)
-    if level is not None:
-        from .truncation import TruncatedTree
-
-        tree = TruncatedTree(max_level=level)
-        oracle = tree.minimal_incomparable(points)
-        _cross_check_pointset(result, lambda p: p in oracle, tree)
-    if args.pretty:
-        return str(result)
-    return _emit_json(serialize.pointset_to_json(result))
+    _cross_check(args, result, lambda tree: tree.minimal_incomparable(points).__contains__)
+    return _emit(args, result, serialize.pointset_to_json)
 
 
 def _cmd_classify(args) -> str:
     from .intersections import classify
 
-    descriptor = serialize.descriptor_from_json(
-        _load_json(args.input), henselian=True if args.henselian else None
-    )
-    result = serialize.classification_to_json(classify(descriptor))
-    if args.pretty:
-        return _pretty_classification(result)
-    return _emit_json(result)
+    henselian = args.henselian or None
+    descriptor = _load(args, lambda obj: serialize.descriptor_from_json(obj, henselian))
+    result = classify(descriptor)
+    return _emit(args, result, serialize.classification_to_json, _pretty_classification)
 
 
 def _cmd_factorize(args) -> str:
     from .monomial import factorize
 
-    ideal = factorize(_load_monomial(args.input))
-    if args.pretty:
-        return str(ideal)
-    return _emit_json(serialize.ideal_to_json(ideal))
+    return _emit(args, factorize(_load_monomial(args)), serialize.ideal_to_json)
 
 
 def _cmd_closure(args) -> str:
-    closed = _load_monomial(args.input).integral_closure()
-    if args.pretty:
-        return closed.to_text()
-    return _emit_json(serialize.monomial_to_json(closed))
+    closed = _load_monomial(args).integral_closure()
+    return _emit(args, closed, serialize.monomial_to_json, _to_text)
 
 
 def _cmd_transform(args) -> str:
-    transformed = _load_monomial(args.input).quadratic_transform(args.dir)
-    if args.pretty:
-        return transformed.to_text()
-    return _emit_json(serialize.monomial_to_json(transformed))
+    transformed = _load_monomial(args).quadratic_transform(args.dir)
+    return _emit(args, transformed, serialize.monomial_to_json, _to_text)
 
 
 def _cmd_point_of_valuation(args) -> str:
     from .monomial import point_for_valuation
 
-    valuation = serialize.valuation_from_json(_load_json(args.input))
-    point = point_for_valuation(valuation)
-    if args.pretty:
-        return str(point)
-    return _emit_json(serialize.point_to_json(point))
+    valuation = _load(args, serialize.valuation_from_json)
+    return _emit(args, point_for_valuation(valuation), serialize.point_to_json)
 
 
 def _cmd_generators(args) -> str:
     from .monomial import generators_for_ideal
 
-    ideal = serialize.ideal_from_json(_load_json(args.input))
-    result = generators_for_ideal(ideal)
-    if args.pretty:
-        return result.to_text()
-    return _emit_json(serialize.monomial_to_json(result))
+    ideal = _load(args, serialize.ideal_from_json)
+    return _emit(args, generators_for_ideal(ideal), serialize.monomial_to_json, _to_text)
 
 
 def _cmd_emit_dot(args) -> str:
     from .render import model_to_dot
 
-    model = serialize.model_from_json(_load_json(args.input))
-    return model_to_dot(model)
+    return model_to_dot(_load(args, serialize.model_from_json))
 
 
 _COMMANDS = {
@@ -384,9 +319,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    handler = _COMMANDS[args.verb][0]
+    level = getattr(args, "truncate", None)
     try:
-        output = handler(args)
+        # a level out of range is refused before any input is read
+        if level is not None and not 1 <= level <= MAX_TRUNCATE_LEVEL:
+            raise ValueError(
+                f"--truncate takes a level from 1 to {MAX_TRUNCATE_LEVEL}, not {level}"
+            )
+        output = _COMMANDS[args.verb][0](args)
     except ValueError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2

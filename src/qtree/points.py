@@ -339,8 +339,11 @@ class SymbolicPointSet(FrozenValue):
             if p.path:
                 by_parent.setdefault(p.path[:-1], []).append(p.path[-1])
         singles = tuple(p for p in self.singles if p not in removed)
+        # a fan over a base that no removed point lies above stays as it is
         fans = tuple(
-            CofiniteFan(fan.base, fan.excluded + tuple(by_parent.get(fan.base.path, ())))
+            CofiniteFan(fan.base, fan.excluded + tuple(by_parent[fan.base.path]))
+            if fan.base.path in by_parent
+            else fan
             for fan in self.fans
         )
         return SymbolicPointSet(singles, fans)

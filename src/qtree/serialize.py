@@ -16,10 +16,20 @@ Shapes:
 * descriptor           ``{"model": model, "subset": set, "henselian": bool}``
 * monomial ideal       ``{"gens": [[a, b]...]}``
 * valuation            ``{"p": p, "q": q}``
+
+Two request shapes carry a verb's several arguments:
+
+* points               ``{"points": [point...]}``
+* two models           ``{"models": [model, model]}``
+
+Output text is the encoded value as one JSON object, tagged
+``"schema": "qtree/1"``, keys sorted; a tagged input object must carry that
+same tag.
 """
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING, Any
 
 from .ideals import BasePointSet, CompleteIdeal
@@ -44,6 +54,29 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def loads(raw: str) -> Any:
+    """The JSON value of input text, refused unless it is tagged with this
+    schema or untagged."""
+    try:
+        obj = json.loads(raw)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the parser recurses once per level of nesting, so input nested
+        # deeper than the recursion limit is refused like any bad JSON
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if isinstance(obj, dict):
+        tag = obj.get("schema")
+        _expect(
+            tag is None or tag == SCHEMA,
+            f"unsupported schema {tag!r}; this tool speaks {SCHEMA!r}",
+        )
+    return obj
+
+
+def dumps(payload: dict) -> str:
+    """The output text of an encoded value."""
+    return json.dumps({"schema": SCHEMA, **payload}, sort_keys=True)
+
+
 def point_to_json(p: Point) -> dict:
     return {"path": list(p.path)}
 
@@ -56,6 +89,14 @@ def point_from_json(obj: Any) -> Point:
         "a point path is a list of label strings",
     )
     return Point(tuple(path))
+
+
+def point_list_from_json(obj: Any) -> tuple[Point, ...]:
+    _expect(
+        isinstance(obj, dict) and isinstance(obj.get("points"), list),
+        "expected {'points': [point...]}",
+    )
+    return tuple(point_from_json(p) for p in obj["points"])
 
 
 def pointset_to_json(s: SymbolicPointSet) -> dict:
@@ -138,6 +179,16 @@ def model_from_json(obj: Any) -> NonsingularModel:
     return NonsingularModel(
         BasePointSet.of(point_from_json(p) for p in obj["base"])
     )
+
+
+def model_pair_from_json(obj: Any) -> tuple[NonsingularModel, NonsingularModel]:
+    _expect(
+        isinstance(obj, dict) and isinstance(obj.get("models"), list),
+        "expected {'models': [model, model]}",
+    )
+    _expect(len(obj["models"]) == 2, "the join takes exactly two models")
+    left, right = obj["models"]
+    return model_from_json(left), model_from_json(right)
 
 
 def descriptor_to_json(d: IntersectionDescriptor) -> dict:

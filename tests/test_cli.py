@@ -336,6 +336,30 @@ def test_json_booleans_are_not_integers(capsys, monkeypatch, verb, payload):
     assert run(capsys, verb, "-")[0] == 2
 
 
+# nested past the recursion limit, where json.loads raises RecursionError
+DEEP = {"array": "[" * 100000, "object": '{"a":' * 50000}
+
+
+@pytest.mark.parametrize("mode", ["inline", "file", "stdin"])
+# a monomial verb reads anything but an object as generator text
+@pytest.mark.parametrize("verb, shape", [("saturate", "array"), ("saturate", "object"), ("closure", "object")])
+def test_deeply_nested_json_is_a_parse_error(capsys, monkeypatch, tmp_path, verb, shape, mode):
+    import io
+
+    source = DEEP[shape]
+    if mode == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(source, encoding="utf-8")
+        source = str(path)
+    elif mode == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(source))
+        source = "-"
+    code, out, err = run(capsys, verb, source)
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: invalid JSON: ") and "recursion" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field", ["singles", "cofinite"])
 def test_point_set_fields_must_be_lists(capsys, field):
     descriptor = json.dumps({"model": {"base": [{"path": []}]}, "subset": {field: 5}})

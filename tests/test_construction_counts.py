@@ -106,3 +106,20 @@ def test_truncate_enumerates_the_tree_once(capsys, monkeypatch, verb, payload):
     monkeypatch.setattr(TruncatedTree, "points", points)
     assert main([verb, payload, "--truncate", "3"]) == 0
     assert len(calls) == 1
+
+
+def test_minus_keeps_the_fans_it_does_not_change(built):
+    # the minimal model is {D, X, X.Y, Y}: four fans from its closed points,
+    # and three new ones over X.Y, X and Y, the parents of the removed points
+    antichain = [P("X", "Y", "t1"), P("X", "t2"), P("Y", "Y")]
+    result = minimal_incomparable_set(antichain)
+    assert len(built[CofiniteFan]) == 7
+    assert result == SymbolicPointSet(
+        (),
+        (
+            CofiniteFan(P(), ("X", "Y")),
+            CofiniteFan(P("X"), ("Y", "t2")),
+            CofiniteFan(P("Y"), ("Y",)),
+            CofiniteFan(P("X", "Y"), ("t1",)),
+        ),
+    )
