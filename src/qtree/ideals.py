@@ -16,15 +16,27 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidBasePoints, UnitIdeal
-from .points import ROOT, FrozenValue, OrderValuation, Point, label_key, sorted_points
+from .points import (
+    ROOT,
+    FrozenValue,
+    OrderValuation,
+    Point,
+    _common_prefix_length,
+    _point_above,
+    label_key,
+    sorted_points,
+)
 
 
-def _last_label_key(node: tuple[Point, list]) -> tuple[int, str]:
-    return label_key(node[0].path[-1])
+_path = attrgetter("path")
+
+
+def _label_key(node: tuple[Point, str, list]) -> tuple[int, str]:
+    return label_key(node[1])
 
 
 class BasePointSet(FrozenValue):
@@ -33,8 +45,8 @@ class BasePointSet(FrozenValue):
     Base-point sets of m-primary ideals always contain the root and are
     closed under taking parents; this class enforces both.  Construction
     also builds the index every query reads: one node per member, holding
-    the nodes of the members directly above it, and the nodes in canonical
-    order.
+    the member, its last label and the nodes of the members directly above
+    it, and the nodes in canonical order.
     """
 
     _fields = ("points",)
@@ -48,16 +60,33 @@ class BasePointSet(FrozenValue):
         return (BasePointSet, (self.points,))
 
     def __post_init__(self) -> None:
+        # a downward closure hands over its index already linked
+        root = self.__dict__.pop("_root", None)
+        if root is None:
+            root = self._link()
+        # breadth first with children in label order is the canonical order:
+        # by level, then by the labels along the path
+        nodes = [root]
+        for _, _, above in nodes:
+            if len(above) > 1:
+                above.sort(key=_label_key)
+            nodes.extend(above)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_order", tuple(map(itemgetter(0), nodes)))
+
+    def _link(self) -> tuple[Point, None, list]:
+        """The root node of the index of ``points``, every node linked to
+        its parent's."""
         pts = frozenset(self.points)
         object.__setattr__(self, "points", pts)
-        # One node (member, nodes above it) per member.  When every member
-        # carries its parent, as members made by ``parent`` and ``child``
-        # do, the parent's node is found in a table keyed by member: a point
-        # hashes once, where a path tuple is hashed anew, in time linear in
-        # its level, on every lookup.  Otherwise it is found by the parent's
-        # path, which is no dearer for the short paths of points made one by
-        # one from input: hashing a point is a Python call.
-        linked = all(p._parent is not None for p in pts if p.path)
+        # When every member carries its parent, as members made by
+        # ``parent`` and ``child`` do, the parent's node is found in a table
+        # keyed by member: a point hashes once, where a path tuple is hashed
+        # anew, in time linear in its level, on every lookup.  Otherwise it
+        # is found by the parent's path, which is no dearer for the short
+        # paths of points made one by one from input: hashing a point is a
+        # Python call.
+        linked = all(p._parent is not None or not p.path for p in pts)
         if linked:
             table = {p: (p, []) for p in pts}
             root = table.get(ROOT)
@@ -66,25 +95,22 @@ class BasePointSet(FrozenValue):
             root = table.get(())
         if root is None:
             raise InvalidBasePoints("a base-point set must contain the root")
-        for node in table.values():
-            p = node[0]
-            if not p.path:
+        for p, above in table.values():
+            path = p.path
+            if not path:
                 continue
-            parent = table.get(p._parent if linked else p.path[:-1])
+            parent = table.get(p._parent if linked else path[:-1])
             if parent is None:
                 raise InvalidBasePoints(
                     f"{p} is present but its parent {p.parent()} is not"
                 )
-            parent[1].append(node)
-        # breadth first with children in label order is the canonical order:
-        # by level, then by the labels along the path
-        nodes = [root]
-        for _, above in nodes:
-            if len(above) > 1:
-                above.sort(key=_last_label_key)
-            nodes.extend(above)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_order", tuple(map(itemgetter(0), nodes)))
+            parent[1].append((p, path[-1], above))
+        return (root[0], None, root[1])
+
+    @cached_property
+    def points(self) -> frozenset[Point]:
+        # a downward closure's members, hashed only when first read
+        return frozenset(self._order)
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "BasePointSet":
@@ -92,13 +118,38 @@ class BasePointSet(FrozenValue):
 
     @classmethod
     def downward_closure(cls, points: Iterable[Point]) -> "BasePointSet":
-        closed: set[Point] = {ROOT}
-        for p in points:
-            # stop at the first ancestor already in: its chain is in too
-            while p not in closed:
-                closed.add(p)
-                p = p.parent()
-        return cls(frozenset(closed))
+        """The given points and every point below them.
+
+        In path order the longest prefix of a point already in the closure
+        is the one it shares with the point before it, so the chain above
+        that prefix is made once, each new point from its parent: no point
+        is hashed and no membership tested.  The points made this way build
+        their paths only when read.
+        """
+        root = (ROOT, None, [])
+        chain = [root]  # the nodes along the previous point's path
+        last: tuple[str, ...] = ()
+        for p in sorted(points, key=_path):
+            path = p.path
+            n = len(last)
+            if path[:n] != last:
+                n = _common_prefix_length(last, path)
+            elif n == len(path):
+                continue  # the previous point again
+            del chain[n + 1 :]
+            node = chain[n]
+            for level in range(n + 1, len(path) + 1):
+                label = path[level - 1]
+                q = p if level == len(path) else _point_above(node[0], label, level)
+                child = (q, label, [])
+                node[2].append(child)
+                chain.append(child)
+                node = child
+            last = path
+        base = object.__new__(cls)
+        base.__dict__["_root"] = root
+        base.__post_init__()
+        return base
 
     def __contains__(self, p: Point) -> bool:
         return p in self.points
@@ -107,20 +158,20 @@ class BasePointSet(FrozenValue):
         return iter(self._order)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._order)
 
     def sorted(self) -> tuple[Point, ...]:
         return self._order
 
     def terminals(self) -> tuple[Point, ...]:
         """The maximal elements under the containment order."""
-        return tuple(p for p, above in self._nodes if not above)
+        return tuple(p for p, _, above in self._nodes if not above)
 
     def labels_above(self) -> Iterator[tuple[Point, tuple[str, ...]]]:
         """Each member in canonical order, with the labels of the members
         directly above it, in label order."""
-        for p, above in self._nodes:
-            yield p, tuple(q.path[-1] for q, _ in above) if above else ()
+        for p, _, above in self._nodes:
+            yield p, tuple(node[1] for node in above) if above else ()
 
     def union(self, other: "BasePointSet") -> "BasePointSet":
         return BasePointSet(self.points | other.points)

@@ -50,11 +50,12 @@ class FrozenValue:
     """An immutable value: equal to another of its class with equal fields.
 
     A subclass names its fields in ``_fields``; its ``__init__`` stores them
-    with ``object.__setattr__``, since assignment and deletion are refused
-    afterwards.  Equality, hash and ``repr`` read only those fields, so
-    caches kept beside them (``cached_property`` values, indexes, flags)
-    never change the value.  Only :class:`Point` spells out ``__eq__`` and
-    ``__hash__``, to hash its path once and keep that hash.
+    with ``object.__setattr__`` (:class:`Point` through its slots' own
+    descriptors), since assignment and deletion are refused afterwards.
+    Equality, hash and ``repr`` read only those fields, so caches kept
+    beside them (``cached_property`` values, indexes, flags) never change
+    the value.  Only :class:`Point` spells out ``__eq__`` and ``__hash__``,
+    to hash its path once and keep that hash.
     """
 
     __slots__ = ()
@@ -88,19 +89,21 @@ class Point(FrozenValue):
 
     Two points are equal iff their paths are equal; the ancestors of a point
     are exactly its path prefixes.  The hash is computed once, at
-    construction, and the parent once, on first use.
+    construction, and the parent once, on first use.  A downward closure
+    makes its points as a private subclass that builds path and hash on
+    first read; a point of either kind equals the other kind on its path.
     """
 
     __slots__ = ("path", "_hash", "_parent")
     _fields = ("path",)
 
     def __init__(self, path: tuple[str, ...] = ()) -> None:
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "_parent", None)
+        _set_path(self, path)
+        _set_parent(self, None)
         self.__post_init__()
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
+        if isinstance(other, Point):
             return self.path == other.path
         return NotImplemented
 
@@ -108,9 +111,9 @@ class Point(FrozenValue):
         path = self.path
         if not isinstance(path, tuple):
             path = tuple(path)
-            object.__setattr__(self, "path", path)
+            _set_path(self, path)
         _check_labels(path)
-        object.__setattr__(self, "_hash", hash(path))
+        _set_hash(self, hash(path))
 
     def __hash__(self) -> int:
         return self._hash
@@ -145,7 +148,7 @@ class Point(FrozenValue):
             if not path:
                 raise RootHasNoParent("the root is not a quadratic transform of any point")
             parent = _trusted_point(path[:-1])
-            object.__setattr__(self, "_parent", parent)
+            _set_parent(self, parent)
         return parent
 
     def child(self, label: str) -> "Point":
@@ -166,12 +169,8 @@ class Point(FrozenValue):
 
     def meet(self, other: "Point") -> "Point":
         """The maximal common ancestor (longest common path prefix)."""
-        n = 0
-        for a, b in zip(self.path, other.path):
-            if a != b:
-                break
-            n += 1
-        return _trusted_point(self.path[:n])
+        path = self.path
+        return _trusted_point(path[: _common_prefix_length(path, other.path)])
 
     def sort_key(self) -> tuple:
         return (self.level, tuple(map(label_key, self.path)))
@@ -180,12 +179,83 @@ class Point(FrozenValue):
         return "D" if self.is_root else ".".join(self.path)
 
 
+def _common_prefix_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+# Each slot is stored through its own descriptor: ``FrozenValue`` refuses
+# assignment, and the descriptor is quicker than ``object.__setattr__``.
+_new = object.__new__
+_get_path = Point.path.__get__
+_set_path = Point.path.__set__
+_get_hash = Point._hash.__get__
+_set_hash = Point._hash.__set__
+_set_parent = Point._parent.__set__
+
+
 def _trusted_point(path: tuple[str, ...], parent: Point | None = None) -> Point:
     """A point on a path whose labels are already known to be valid."""
-    point = object.__new__(Point)
-    object.__setattr__(point, "path", path)
-    object.__setattr__(point, "_hash", hash(path))
-    object.__setattr__(point, "_parent", parent)
+    point = _new(Point)
+    _set_path(point, path)
+    _set_hash(point, hash(path))
+    _set_parent(point, parent)
+    return point
+
+
+class _LinkedPoint(Point):
+    """A point a downward closure made above its parent.
+
+    It stores its parent, its last label and its level, and builds its path
+    (from the nearest ancestor that has one) and its hash on first read, so
+    a chain of length L holds L labels until every path in it is read.  It
+    equals, hashes, orders, prints and pickles as the plain point on its
+    path.
+    """
+
+    __slots__ = ("level", "last_label")
+    is_root = False
+
+    @property
+    def path(self) -> tuple[str, ...]:
+        path = _get_path(self)
+        if path is None:
+            labels = []
+            p = self
+            while (path := _get_path(p)) is None:
+                labels.append(p.last_label)
+                p = p._parent
+            path += tuple(reversed(labels))
+            _set_path(self, path)
+        return path
+
+    def __hash__(self) -> int:
+        h = _get_hash(self)
+        if h is None:
+            h = hash(self.path)
+            _set_hash(self, h)
+        return h
+
+    def __repr__(self) -> str:
+        return f"Point(path={self.path!r})"
+
+
+_set_level = _LinkedPoint.level.__set__
+_set_label = _LinkedPoint.last_label.__set__
+
+
+def _point_above(parent: Point, label: str, level: int) -> Point:
+    """The point above ``parent`` in direction ``label``, at ``level``."""
+    point = _new(_LinkedPoint)
+    _set_path(point, None)
+    _set_hash(point, None)
+    _set_parent(point, parent)
+    _set_level(point, level)
+    _set_label(point, label)
     return point
 
 

@@ -48,18 +48,22 @@ class TruncatedTree(FrozenValue):
         """Brute-force membership of a symbolic set within the truncation."""
         return frozenset(p for p in self.points if p in sset)
 
-    @staticmethod
-    def _incomparable_to_all(q: Point, targets: Iterable[Point]) -> bool:
-        return all(not q.leq(t) and not t.leq(q) for t in targets)
-
     def minimal_incomparable(self, targets: Iterable[Point]) -> frozenset[Point]:
         """Points of the truncation incomparable to every target, with no
-        ancestor sharing that property."""
-        ts = tuple(targets)
-        found = set()
-        for q in self.points:
-            if q.is_root or not self._incomparable_to_all(q, ts):
-                continue
-            if not self._incomparable_to_all(q.parent(), ts):
-                found.add(q)
-        return frozenset(found)
+        ancestor sharing that property.
+
+        A point lies below a target iff its path is a prefix of the target's,
+        and above one iff the target's path is a prefix of its own.  A point
+        of the answer lies below no target and above none, and its parent
+        lies below one.
+        """
+        paths = {t.path for t in targets}
+        below = {path[:i] for path in paths for i in range(len(path) + 1)}
+        return frozenset(
+            q
+            for q in self.points
+            if q.path
+            and q.path not in below
+            and q.path[:-1] in below
+            and not any(q.path[:i] in paths for i in range(len(q.path)))
+        )

@@ -207,7 +207,9 @@ def incomparable(a, b) -> bool:
 
 
 def brute_force_minimal_incomparable(universe, targets) -> frozenset:
-    """Minimal-incomparable scan over an explicit point universe."""
+    """Minimal-incomparable scan over an explicit point universe, each
+    point compared with every target: the pairwise reference for
+    ``TruncatedTree.minimal_incomparable``."""
     targets = tuple(targets)
     out = set()
     for q in universe:

@@ -2,8 +2,9 @@
 
 A derived set keeps the fans it is given, a predicate reads the sweep
 instead of building a set to compare, a query validates its input once,
-and a ``--truncate`` call enumerates its tree once.  These tests count the
-constructions, so a pass that redoes one fails here.
+a ``--truncate`` call enumerates its tree once, and a downward closure
+builds no path it is not asked for.  These tests count the constructions,
+so a pass that redoes one fails here.
 """
 
 from functools import cached_property
@@ -14,13 +15,16 @@ from conftest import P
 from qtree import (
     BasePointSet,
     CofiniteFan,
+    CompleteIdeal,
     NonsingularModel,
+    Point,
     SymbolicPointSet,
     TruncatedTree,
     minimal_incomparable_set,
 )
-from qtree import models
+from qtree import models, serialize
 from qtree.cli import main
+from qtree.points import _LinkedPoint
 
 
 @pytest.fixture
@@ -123,3 +127,41 @@ def test_minus_keeps_the_fans_it_does_not_change(built):
             CofiniteFan(P("X", "Y"), ("t1",)),
         ),
     )
+
+
+def _parting_chains(level):
+    """Two factors of one level whose chains part halfway up."""
+    labels = ("X", "Y", "t1")
+    first = tuple(labels[i % 3] for i in range(level))
+    second = first[: level // 2] + ("t2",) * (level - level // 2)
+    return CompleteIdeal.of({Point(first): 2, Point(second): 1}), first, second
+
+
+def _unread(point):
+    """True iff a closure-made point has built neither its path nor its hash."""
+    return Point.path.__get__(point) is None and Point._hash.__get__(point) is None
+
+
+@pytest.mark.parametrize("level", [300, 4000])
+def test_a_closure_builds_no_path_or_hash(level):
+    ideal, first, second = _parting_chains(level)
+    saturated = ideal.saturate()
+    base = ideal.base_points()
+    terminals = ideal.terminal_base_points()
+    made = [p for p in base if type(p) is _LinkedPoint]
+    # every member but the root and the two factor points
+    assert len(made) == len(base) - 3 == 2 * level - level // 2 - 2
+    assert all(map(_unread, made))
+    assert saturated.is_saturated() and len(saturated.factors) == len(base)
+    assert [p.path for p in terminals] == [first, second]
+    if level > 300:
+        return  # every path of a 4000-level base set holds 14 million labels
+    # serialized afterwards, the values read as if made from paths
+    plain = {Point(path[:i]) for path in (first, second) for i in range(level + 1)}
+    assert serialize.dumps(serialize.ideal_to_json(saturated)) == serialize.dumps(
+        serialize.ideal_to_json(CompleteIdeal.of(plain))
+    )
+    assert serialize.base_points_to_json(base) == serialize.base_points_to_json(
+        BasePointSet.of(plain)
+    )
+    assert base == BasePointSet.of(plain)

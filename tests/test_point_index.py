@@ -132,10 +132,61 @@ def test_a_missing_root_or_parent_is_refused(path_list, data):
                 BasePointSet.of(pts - {Point(gap)})
 
 
-@given(st.lists(paths, max_size=10))
-def test_downward_closure_is_the_union_of_chains(path_list):
-    given_points = [Point(p) for p in path_list]
-    assert BasePointSet.downward_closure(given_points).points == closure(path_list)
+def by_child(path):
+    """The point on ``path``, made by ``child`` from the root up."""
+    p = ROOT
+    for label in path:
+        p = p.child(label)
+    return p
+
+
+def from_a_closure(path):
+    """The point on ``path`` as a closure made it, below a longer path."""
+    return BasePointSet.downward_closure([Point(path + ("X",))]).sorted()[len(path)]
+
+
+@given(st.lists(paths, max_size=10), st.data())
+def test_downward_closure_is_the_union_of_chains(path_list, data):
+    # the support may hold the root and points that are prefixes of one
+    # another, made from paths, by ``child`` or by another closure
+    support = path_list + [p[: data.draw(st.integers(0, len(p)))] for p in path_list]
+    makers = st.sampled_from([Point, by_child, from_a_closure])
+    given_points = [data.draw(makers)(p) for p in support]
+    base = BasePointSet.downward_closure(given_points)
+    expected = closure(support)
+    assert base.points == expected and len(base) == len(expected)
+    assert base.sorted() == oracles.reference_sorted(expected)
+    assert base.terminals() == oracles.reference_terminals(expected)
+    above = dict(base.labels_above())
+    assert all(above[p] == oracles.reference_child_labels(expected, p) for p in expected)
+
+
+def closure_made(path_list):
+    """A closure's members in canonical order, beside the plain points on
+    their paths; no member has read its path yet."""
+    made = BasePointSet.downward_closure(Point(p) for p in path_list).sorted()
+    return made, oracles.reference_sorted(closure(path_list))
+
+
+@given(st.lists(st.lists(labels, min_size=2, max_size=5).map(tuple), min_size=1, max_size=6))
+def test_closure_made_points_act_as_plain_points(path_list):
+    made, plain = closure_made(path_list)
+    assert any(type(q) is not Point for q in made)
+    # deepest first, so a path is built from an ancestor that has none yet
+    for q, p in reversed(list(zip(made, plain))):
+        assert p == q and q == p and not (q != p)
+    made, plain = closure_made(path_list)
+    assert [hash(q) for q in made] == [hash(p) for p in plain]
+    assert sorted_points(made[::-1]) == plain
+    assert set(made) == set(plain) and all(p in set(made) for p in plain)
+    for q, p in zip(made, plain):
+        assert repr(q) == repr(p) and str(q) == str(p)
+        assert (q.level, q.is_root, q.sort_key()) == (p.level, p.is_root, p.sort_key())
+        if not p.is_root:
+            assert q.parent() == p.parent() and q.last_label == p.last_label
+        for q2, p2 in zip(made, plain):
+            assert q.leq(q2) == p.leq(p2)
+            assert q.meet(q2) == p.meet(p2)
 
 
 @given(raw_sets)
@@ -172,6 +223,18 @@ def test_truncated_tree_lists_its_points_in_canonical_order(alphabet, level):
     pts = TruncatedTree(alphabet=tuple(alphabet), max_level=level).points
     assert pts == sorted_points(pts)
     assert len(set(pts)) == sum(len(alphabet) ** i for i in range(level + 1))
+
+
+@given(
+    st.lists(labels, min_size=1, max_size=4, unique=True),
+    st.integers(0, 3),
+    st.lists(points, max_size=5),
+)
+def test_truncated_minimal_incomparable_matches_the_pairwise_scan(alphabet, level, targets):
+    # any targets: the root, repeats and comparable pairs included
+    tree = TruncatedTree(alphabet=tuple(alphabet), max_level=level)
+    expected = oracles.brute_force_minimal_incomparable(tree.points, targets)
+    assert tree.minimal_incomparable(iter(targets)) == expected
 
 
 @given(st.lists(points, max_size=6))
@@ -229,16 +292,19 @@ def test_derived_points_equal_validated_ones():
 
 def test_pickled_point_rehashes_in_another_process():
     # the hash is cached at construction; a pickle must not carry it over
-    # into a process with another hash seed
+    # into a process with another hash seed.  A point a closure made
+    # arrives as a plain point.
     src = str(Path(qtree.__file__).resolve().parents[1])
     dump = (
-        "import pickle, sys; from qtree import Point; "
-        "sys.stdout.buffer.write(pickle.dumps(Point(('X', 'Y'))))"
+        "import pickle, sys; from qtree import BasePointSet, Point; "
+        "made = BasePointSet.downward_closure([Point(('X', 'Y', 't1'))]).sorted()[2]; "
+        "sys.stdout.buffer.write(pickle.dumps((Point(('X', 'Y')), made)))"
     )
     load = (
-        "import pickle, sys; from qtree import Point; "
-        "p = pickle.loads(sys.stdin.buffer.read()); "
-        "assert p in {Point(('X', 'Y'))} and p.parent() == Point(('X',))"
+        "import pickle, sys; from qtree import Point\n"
+        "for p in pickle.loads(sys.stdin.buffer.read()):\n"
+        "    assert type(p) is Point and p in {Point(('X', 'Y'))} "
+        "and p.parent() == Point(('X',))"
     )
 
     def python(code, seed, data=None):
