@@ -259,6 +259,12 @@ _COMMANDS = {
 }
 
 
+def _direction(label: str) -> str:
+    if label not in ("X", "Y"):  # in the words of 3.10-3.12, not 3.13's
+        raise argparse.ArgumentTypeError(f"invalid choice: {label!r} (choose from 'X', 'Y')")
+    return label
+
+
 def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
     p.add_argument("input", help="file path, inline JSON, or - for stdin")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
@@ -277,7 +283,7 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
             help="classify over a Henselian base",
         )
     if verb == "transform":
-        p.add_argument("--dir", required=True, choices=["X", "Y"])
+        p.add_argument("--dir", required=True, type=_direction, metavar="{X,Y}")
     if verb in ("closed-points", "min-incomparable"):
         p.add_argument(
             "--truncate",
@@ -291,6 +297,8 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtree",
+        # as 3.10-3.12 wrap it at 80 columns, where 3.13 joins the last lines
+        usage="qtree [-h]\n             {" + ",".join(_COMMANDS) + "}\n             ...",
         description="calculus for the quadratic tree of a 2-dimensional "
         "regular local ring",
     )
@@ -314,6 +322,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         if not rest:
             args.verb = verb
             return args
+    elif verb is not None and not verb.startswith("-"):
+        choices = ", ".join(map(repr, _COMMANDS))  # quoted, as 3.10-3.12 print them
+        build_parser().error(f"argument verb: invalid choice: {verb!r} (choose from {choices})")
     return build_parser().parse_args(argv)
 
 

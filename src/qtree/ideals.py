@@ -52,7 +52,7 @@ class BasePointSet(FrozenValue):
     _fields = ("points",)
 
     def __init__(self, points: frozenset[Point]) -> None:
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", frozenset(points))
         self.__post_init__()
 
     def __reduce__(self):
@@ -77,34 +77,18 @@ class BasePointSet(FrozenValue):
     def _link(self) -> tuple[Point, None, list]:
         """The root node of the index of ``points``, every node linked to
         its parent's."""
-        pts = frozenset(self.points)
-        object.__setattr__(self, "points", pts)
-        # When every member carries its parent, as members made by
-        # ``parent`` and ``child`` do, the parent's node is found in a table
-        # keyed by member: a point hashes once, where a path tuple is hashed
-        # anew, in time linear in its level, on every lookup.  Otherwise it
-        # is found by the parent's path, which is no dearer for the short
-        # paths of points made one by one from input: hashing a point is a
-        # Python call.
-        linked = all(p._parent is not None or not p.path for p in pts)
-        if linked:
-            table = {p: (p, []) for p in pts}
-            root = table.get(ROOT)
-        else:
-            table = {p.path: (p, []) for p in pts}
-            root = table.get(())
+        table = {p.path: (p, []) for p in self.points}
+        root = table.get(())
         if root is None:
             raise InvalidBasePoints("a base-point set must contain the root")
-        for p, above in table.values():
-            path = p.path
-            if not path:
-                continue
-            parent = table.get(p._parent if linked else path[:-1])
-            if parent is None:
-                raise InvalidBasePoints(
-                    f"{p} is present but its parent {p.parent()} is not"
-                )
-            parent[1].append((p, path[-1], above))
+        for path, (p, above) in table.items():
+            if path:
+                parent = table.get(path[:-1])
+                if parent is None:
+                    raise InvalidBasePoints(
+                        f"{p} is present but its parent {p.parent()} is not"
+                    )
+                parent[1].append((p, path[-1], above))
         return (root[0], None, root[1])
 
     @cached_property

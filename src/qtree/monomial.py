@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary, OutputTooLarge
 from .ideals import BasePointSet, CompleteIdeal
-from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR
+from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR, _point_above
 
 Exponent = tuple[int, int]
 
@@ -373,24 +373,28 @@ def base_points(ideal: MonomialIdeal) -> BasePointSet:
     """All points where the transform of the ideal stays proper.
 
     Depth-first descent with an explicit stack, so chain length is not bound
-    by the recursion limit: the root is always a base point, and each
-    coordinate direction is followed while the transform there is still
-    proper.  The descent terminates because base-point sets are finite, and
-    it visits only toric points because the Rees valuations of a monomial
-    ideal are monomial.
+    by the recursion limit.  From the root each coordinate direction is
+    followed while the transform there is still proper; the descent ends as
+    base-point sets are finite, and meets only toric points as the Rees
+    valuations of a monomial ideal are monomial.  The base set is the
+    downward closure of the points where it stops: only their paths are
+    built, so a chain of length L costs O(L).
     """
     if not ideal.is_m_primary:
         raise NotMPrimary("base points are defined for m-primary ideals")
-    found: set[Point] = set()
+    terminals: list[Point] = []
     stack = [(ROOT, ideal.integral_closure())]
     while stack:
         point, current = stack.pop()
-        found.add(point)
+        proper = False
         for direction in (X_DIR, Y_DIR):
             transform = current.quadratic_transform(direction)
             if not transform.is_unit:
-                stack.append((point.child(direction), transform))
-    return BasePointSet(frozenset(found))
+                proper = True
+                stack.append((_point_above(point, direction, point.level + 1), transform))
+        if not proper:
+            terminals.append(point)
+    return BasePointSet.downward_closure(terminals)
 
 
 def factorize(ideal: MonomialIdeal) -> CompleteIdeal:

@@ -291,6 +291,19 @@ def test_domain_errors_exit_1(capsys):
     assert err.startswith("InvalidDescriptor:")
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ('{"base":[{"path":[]},{"path":["X","Y"]}]}', "X.Y is present but its parent X is not"),
+        ('{"base":[{"path":["X"]}]}', "a base-point set must contain the root"),
+    ],
+    ids=["no-parent", "no-root"],
+)
+@pytest.mark.parametrize("verb", ["closed-points", "emit-dot"])
+def test_an_invalid_model_is_refused_by_name(capsys, verb, model, message):
+    assert run(capsys, verb, model) == (1, "", f"InvalidBasePoints: {message}\n")
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "saturate", "{not json")
     assert code == 2
@@ -657,12 +670,17 @@ def test_help_is_unchanged(capsys, monkeypatch, verb):
             "qtree transform: error: the following arguments are required: --dir\n",
         ),
         (
+            ("transform", "x", "--dir", "Z"),
+            "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
+            "qtree transform: error: argument --dir: invalid choice: 'Z' (choose from 'X', 'Y')\n",
+        ),
+        (
             ("closed-points", "x", "--truncate", "abc"),
             "usage: qtree closed-points [-h] [--pretty] [--truncate L] input\n"
             "qtree closed-points: error: argument --truncate: invalid int value: 'abc'\n",
         ),
     ],
-    ids=["no-verb", "unknown-verb", "unknown-flag", "no-input", "no-dir", "bad-level"],
+    ids=["no-verb", "unknown-verb", "unknown-flag", "no-input", "no-dir", "bad-dir", "bad-level"],
 )
 def test_usage_errors_are_unchanged(capsys, monkeypatch, argv, err):
     assert run_exit(capsys, monkeypatch, *argv) == (2, "", err)

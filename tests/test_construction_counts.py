@@ -16,15 +16,17 @@ from qtree import (
     BasePointSet,
     CofiniteFan,
     CompleteIdeal,
+    MonomialIdeal,
     NonsingularModel,
     Point,
     SymbolicPointSet,
     TruncatedTree,
+    base_points,
     minimal_incomparable_set,
 )
 from qtree import models, serialize
 from qtree.cli import main
-from qtree.points import _LinkedPoint
+from qtree.points import ROOT, _LinkedPoint
 
 
 @pytest.fixture
@@ -165,3 +167,15 @@ def test_a_closure_builds_no_path_or_hash(level):
         BasePointSet.of(plain)
     )
     assert base == BasePointSet.of(plain)
+
+
+@pytest.mark.parametrize("d", [300, 4000])
+def test_monomial_base_points_build_no_path_or_hash_but_the_terminal(d):
+    base = base_points(MonomialIdeal.from_text(f"x^{d}, y"))
+    # the chain X, X.X, ... of the valuation (1, d), up to level d - 1
+    assert len(base) == d
+    (terminal,) = base.terminals()
+    assert terminal.path == ("X",) * (d - 1)
+    members = base.sorted()
+    assert members[0] is ROOT and members[-1] is terminal
+    assert all(map(_unread, members[1:-1]))

@@ -34,6 +34,24 @@ class TestBasePointSet:
         with pytest.raises(InvalidBasePoints):
             BasePointSet.of([ROOT, P("X", "Y")])
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([P("X"), P("X", "Y")], "a base-point set must contain the root"),
+            (
+                [ROOT.child("X"), ROOT.child("X").child("Y")],
+                "a base-point set must contain the root",
+            ),
+            ([ROOT, P("X", "Y")], "X.Y is present but its parent X is not"),
+            ([ROOT, ROOT.child("X").child("Y")], "X.Y is present but its parent X is not"),
+        ],
+        ids=["no-root-from-paths", "no-root-by-child", "no-parent-from-paths", "no-parent-by-child"],
+    )
+    def test_refusals_read_the_same_for_paths_and_children(self, points, message):
+        with pytest.raises(InvalidBasePoints) as refused:
+            BasePointSet.of(points)
+        assert str(refused.value) == message
+
     def test_downward_closure_builder(self):
         base = BasePointSet.downward_closure([P("X", "Y")])
         assert base.points == {ROOT, P("X"), P("X", "Y")}

@@ -274,6 +274,28 @@ class TestBasePoints:
     def test_takes_closure_first(self):
         assert base_points(M((2, 0), (0, 2))).points == {ROOT}
 
+    # pure powers of at least 30 leave room under the diagonal, so about
+    # half the draws have several edges: branching sets whose chains reach
+    # far past the level-4 sets that the acceptance suite enumerates
+    exponent = st.integers(0, 60)
+    deep = st.tuples(
+        st.integers(30, 60),
+        st.integers(30, 60),
+        st.lists(
+            st.tuples(exponent, exponent).filter(any), min_size=2, max_size=6
+        ),
+    ).map(lambda t: ((t[0], 0), (0, t[1]), *t[2]))
+
+    @settings(max_examples=80)
+    @given(deep)
+    def test_matches_the_factor_closure_on_deep_branching_sets(self, gens):
+        ideal = MonomialIdeal(gens)
+        descended = base_points(ideal)
+        closed = factorize(ideal.integral_closure()).base_points()
+        assert descended.sorted() == closed.sorted()
+        assert descended.terminals() == closed.terminals()
+        assert list(descended.labels_above()) == list(closed.labels_above())
+
 
 class TestFactorize:
     def test_two_simple_factors(self):

@@ -1,10 +1,11 @@
 """The indexed point core against quadratic reference definitions.
 
-Base-set queries are answered from an index keyed by member, fan and
-antichain queries from a path-keyed index and one sweep; ``oracles`` keeps
-the pairwise definitions they replace.  A base set's members may come with
-their parents (made by ``child`` or ``parent``), or each alone from its path,
-or both mixed; the index must answer alike.  The label alphabet includes
+Base-set queries are answered from an index that links each member to its
+parent's node, found by the parent's path, fan and antichain queries from a
+path-keyed index and one sweep; ``oracles`` keeps the pairwise definitions
+they replace.  A base set's members may come with their parents (made by
+``child`` or ``parent``), or each alone from its path, or both mixed; the
+index must answer alike.  The label alphabet includes
 ``A``, which sorts before ``X`` as a plain string but after ``Y`` in
 canonical label order.
 """
