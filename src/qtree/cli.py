@@ -259,10 +259,17 @@ _COMMANDS = {
 }
 
 
-def _direction(label: str) -> str:
-    if label not in ("X", "Y"):  # in the words of 3.10-3.12, not 3.13's
-        raise argparse.ArgumentTypeError(f"invalid choice: {label!r} (choose from 'X', 'Y')")
-    return label
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that words an invalid choice as 3.10-3.12 do, its
+    choices quoted, on every Python (later releases print them bare),
+    wherever on the line the choice stands."""
+
+    def _check_value(self, action: argparse.Action, value: Any) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})"
+            )
 
 
 def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
@@ -283,7 +290,7 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
             help="classify over a Henselian base",
         )
     if verb == "transform":
-        p.add_argument("--dir", required=True, type=_direction, metavar="{X,Y}")
+        p.add_argument("--dir", required=True, choices=("X", "Y"))
     if verb in ("closed-points", "min-incomparable"):
         p.add_argument(
             "--truncate",
@@ -295,7 +302,7 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtree",
         # as 3.10-3.12 wrap it at 80 columns, where 3.13 joins the last lines
         usage="qtree [-h]\n             {" + ",".join(_COMMANDS) + "}\n             ...",
@@ -316,15 +323,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     errors read as they do there."""
     verb = argv[0] if argv else None
     if verb in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"qtree {verb}")
+        parser = _Parser(prog=f"qtree {verb}")
         _add_arguments(parser, verb)
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:
             args.verb = verb
             return args
-    elif verb is not None and not verb.startswith("-"):
-        choices = ", ".join(map(repr, _COMMANDS))  # quoted, as 3.10-3.12 print them
-        build_parser().error(f"argument verb: invalid choice: {verb!r} (choose from {choices})")
     return build_parser().parse_args(argv)
 
 

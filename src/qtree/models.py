@@ -15,11 +15,12 @@ the blowup of its saturation.
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Iterable
 
 from .errors import EmptyInput, NotAntichain, NotSaturated, RootNotAllowed, UnitIdeal
 from .ideals import BasePointSet, CompleteIdeal
-from .points import CofiniteFan, FrozenValue, Point, SymbolicPointSet
+from .points import FrozenValue, Point, SymbolicPointSet, _trusted_fan
 
 
 class NonsingularModel(FrozenValue):
@@ -37,10 +38,9 @@ class NonsingularModel(FrozenValue):
         A point q is a closed point iff its parent is a base point and q
         itself is not.
         """
-        fans = tuple(
-            CofiniteFan(b, labels) for b, labels in self.base.labels_above()
-        )
-        return SymbolicPointSet(fans=fans)
+        # one fan per member, in canonical order, its labels in label order
+        fans = tuple(starmap(_trusted_fan, self.base.labels_above()))
+        return SymbolicPointSet._canonical((), fans)
 
     def contains_point(self, q: Point) -> bool:
         return not q.is_root and q.parent() in self.base and q not in self.base

@@ -308,13 +308,27 @@ class CofiniteFan(FrozenValue):
         return f"Q1({self.base}) - {{{', '.join(self.excluded)}}}"
 
 
+def _trusted_fan(base: Point, excluded: tuple[str, ...]) -> CofiniteFan:
+    """A fan whose excluded labels are already distinct, valid and in
+    ``label_key`` order."""
+    fan = _new(CofiniteFan)
+    fields = fan.__dict__
+    fields["base"] = base
+    fields["excluded"] = excluded
+    return fan
+
+
 class SymbolicPointSet(FrozenValue):
     """A finite union of single points and cofinite first-neighborhood fans.
 
     Values are kept in canonical form: fans have pairwise distinct bases,
     no single point is covered by a fan (a single whose parent carries a fan
     is folded into that fan), and all tuples are sorted canonically.  Two
-    values are equal iff they describe the same set of points.
+    values are equal iff they describe the same set of points.  The
+    constructor (and ``union``, ``of_points`` and ``fan`` through it) makes
+    its input canonical; a derived set (closed points, minimal points, a
+    set minus points) is built from parts already in canonical form and
+    kept as it is built.
     """
 
     _fields = ("singles", "fans")
@@ -354,6 +368,17 @@ class SymbolicPointSet(FrozenValue):
         object.__setattr__(
             self, "fans", tuple(sorted(fans.values(), key=lambda f: f.base.sort_key()))
         )
+
+    @classmethod
+    def _canonical(
+        cls, singles: tuple[Point, ...], fans: tuple[CofiniteFan, ...]
+    ) -> "SymbolicPointSet":
+        """A set from parts already in canonical form, stored as they are."""
+        s = _new(cls)
+        fields = s.__dict__
+        fields["singles"] = singles
+        fields["fans"] = fans
+        return s
 
     @classmethod
     def empty(cls) -> "SymbolicPointSet":
@@ -409,14 +434,19 @@ class SymbolicPointSet(FrozenValue):
             if p.path:
                 by_parent.setdefault(p.path[:-1], []).append(p.path[-1])
         singles = tuple(p for p in self.singles if p not in removed)
-        # a fan over a base that no removed point lies above stays as it is
+        # a fan over a base that no removed point lies above stays as it is;
+        # no single lies above a fan base, so the parts stay canonical, and
+        # the labels a fan gains come from points, which checked them
         fans = tuple(
-            CofiniteFan(fan.base, fan.excluded + tuple(by_parent[fan.base.path]))
+            _trusted_fan(
+                fan.base,
+                tuple(sorted({*fan.excluded, *by_parent[fan.base.path]}, key=label_key)),
+            )
             if fan.base.path in by_parent
             else fan
             for fan in self.fans
         )
-        return SymbolicPointSet(singles, fans)
+        return SymbolicPointSet._canonical(singles, fans)
 
     def is_subset(self, other: "SymbolicPointSet") -> bool:
         for fan in self.fans:
@@ -472,7 +502,7 @@ class SymbolicPointSet(FrozenValue):
         A single survives unless some distinct member lies strictly below it;
         a fan survives unless some member lies weakly below its base (every
         point of the fan dominates the base, so one dominated member dooms
-        the whole fan).
+        the whole fan).  Parts kept in their order stay canonical.
         """
         below = self._member_below()
         singles = tuple(p for p in self.singles if not below[p.path])
@@ -481,7 +511,7 @@ class SymbolicPointSet(FrozenValue):
             for f in self.fans
             if not below[f.base.path] and f.base not in self._single_set
         )
-        return SymbolicPointSet(singles, fans)
+        return SymbolicPointSet._canonical(singles, fans)
 
     def __str__(self) -> str:
         parts = [str(f) for f in self.fans]

@@ -656,6 +656,13 @@ def test_help_is_unchanged(capsys, monkeypatch, verb):
             "'transform', 'point-of-valuation', 'generators', 'emit-dot')\n",
         ),
         (
+            ("--pretty", "nope"),
+            TOP_USAGE + "qtree: error: argument verb: invalid choice: 'nope' (choose from "
+            "'saturate', 'base-points', 'rees', 'closed-points', 'desingularize', 'join', "
+            "'minimal-model', 'min-incomparable', 'classify', 'factorize', 'closure', "
+            "'transform', 'point-of-valuation', 'generators', 'emit-dot')\n",
+        ),
+        (
             ("saturate", "{}", "--bogus"),
             TOP_USAGE + "qtree: error: unrecognized arguments: --bogus\n",
         ),
@@ -680,7 +687,7 @@ def test_help_is_unchanged(capsys, monkeypatch, verb):
             "qtree closed-points: error: argument --truncate: invalid int value: 'abc'\n",
         ),
     ],
-    ids=["no-verb", "unknown-verb", "unknown-flag", "no-input", "no-dir", "bad-dir", "bad-level"],
+    ids=["no-verb", "unknown-verb", "unknown-verb-after-a-flag", "unknown-flag", "no-input", "no-dir", "bad-dir", "bad-level"],
 )
 def test_usage_errors_are_unchanged(capsys, monkeypatch, argv, err):
     assert run_exit(capsys, monkeypatch, *argv) == (2, "", err)

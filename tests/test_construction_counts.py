@@ -1,10 +1,11 @@
-"""Each value is made canonical once, by its constructor.
+"""Each value is made canonical once: input by its constructor, derived
+sets by being built canonical.
 
-A derived set keeps the fans it is given, a predicate reads the sweep
-instead of building a set to compare, a query validates its input once,
-a ``--truncate`` call enumerates its tree once, and a downward closure
-builds no path it is not asked for.  These tests count the constructions,
-so a pass that redoes one fails here.
+A derived set keeps the fans it is given and never runs the canonicalizing
+constructor, a predicate reads the sweep instead of building a set to
+compare, a query validates its input once, a ``--truncate`` call enumerates
+its tree once, and a downward closure builds no path it is not asked for.
+These tests count the constructions, so a pass that redoes one fails here.
 """
 
 from functools import cached_property
@@ -22,16 +23,18 @@ from qtree import (
     SymbolicPointSet,
     TruncatedTree,
     base_points,
+    minimal_desingularization,
     minimal_incomparable_set,
 )
-from qtree import models, serialize
+from qtree import models, points, serialize
 from qtree.cli import main
 from qtree.points import ROOT, _LinkedPoint
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """The point sets and fans constructed while a test runs, by class."""
+    """The point sets and fans constructed while a test runs, by class:
+    those made canonical by their constructor and those built canonical."""
     made = {SymbolicPointSet: [], CofiniteFan: []}
     for cls, values in made.items():
 
@@ -40,6 +43,35 @@ def built(monkeypatch):
             construct(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+
+    def trusted_fan(base, excluded, construct=points._trusted_fan):
+        fan = construct(base, excluded)
+        made[CofiniteFan].append(fan)
+        return fan
+
+    for module in (points, models):
+        monkeypatch.setattr(module, "_trusted_fan", trusted_fan)
+
+    def trusted_set(cls, singles, fans, construct=SymbolicPointSet._canonical.__func__):
+        s = construct(cls, singles, fans)
+        made[SymbolicPointSet].append(s)
+        return s
+
+    monkeypatch.setattr(SymbolicPointSet, "_canonical", classmethod(trusted_set))
+    return made
+
+
+@pytest.fixture
+def canonicalized(monkeypatch):
+    """The point sets that the canonicalizing constructor ran on while a
+    test runs."""
+    made = []
+
+    def counted(self, construct=SymbolicPointSet.__post_init__):
+        made.append(self)
+        construct(self)
+
+    monkeypatch.setattr(SymbolicPointSet, "__post_init__", counted)
     return made
 
 
@@ -49,12 +81,37 @@ def _model():
     return NonsingularModel(BasePointSet.downward_closure(tips))
 
 
-def test_closed_points_build_one_fan_per_base_point(built):
+def test_closed_points_build_one_fan_per_base_point(built, canonicalized):
     model = _model()
     closed = model.closed_points()
     assert len(built[CofiniteFan]) == len(model.base.points) == 7
     assert all(made is kept for made, kept in zip(built[CofiniteFan], closed.fans))
     assert built[SymbolicPointSet] == [closed]
+    assert canonicalized == []
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda s: s.minimal_points(),
+        lambda s: s.minus([P("X", "Y", "t1"), P("Y", "t3"), P("Y", "Y")]),
+        lambda s: s.minus([]),
+    ],
+    ids=["minimal points", "minus", "minus nothing"],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _model().closed_points(),
+        lambda: SymbolicPointSet((P("X"), P("X", "Y"), P("Y", "Y")), (CofiniteFan(P("Y"), ("Y",)),)),
+    ],
+    ids=["closed points", "singles and a fan"],
+)
+def test_derived_sets_are_built_canonical(canonicalized, make, derive):
+    s = make()
+    canonicalized.clear()
+    derive(s)
+    assert canonicalized == []
 
 
 @pytest.mark.parametrize(
@@ -114,12 +171,15 @@ def test_truncate_enumerates_the_tree_once(capsys, monkeypatch, verb, payload):
     assert len(calls) == 1
 
 
-def test_minus_keeps_the_fans_it_does_not_change(built):
+def test_minus_keeps_the_fans_it_does_not_change(built, canonicalized):
     # the minimal model is {D, X, X.Y, Y}: four fans from its closed points,
     # and three new ones over X.Y, X and Y, the parents of the removed points
     antichain = [P("X", "Y", "t1"), P("X", "t2"), P("Y", "Y")]
     result = minimal_incomparable_set(antichain)
     assert len(built[CofiniteFan]) == 7
+    # the constructor ran once, on the antichain it validates
+    (validated,) = canonicalized
+    assert set(validated.singles) == set(antichain) and not validated.fans
     assert result == SymbolicPointSet(
         (),
         (
@@ -142,6 +202,16 @@ def _parting_chains(level):
 def _unread(point):
     """True iff a closure-made point has built neither its path nor its hash."""
     return Point.path.__get__(point) is None and Point._hash.__get__(point) is None
+
+
+def test_closed_points_of_a_long_chain_read_no_path():
+    ideal, _, _ = _parting_chains(4000)
+    model = minimal_desingularization(ideal)
+    closed = model.closed_points()
+    # one fan over each base point, in the base set's order
+    assert not closed.singles and len(closed.fans) == len(model.base)
+    assert all(fan.base is p for fan, p in zip(closed.fans, model.base.sorted()))
+    assert all(_unread(p) for p in model.base if type(p) is _LinkedPoint)
 
 
 @pytest.mark.parametrize("level", [300, 4000])

@@ -219,6 +219,39 @@ def test_is_antichain_iff_the_set_is_its_own_minimal_points(s):
     assert s.is_antichain() == (s.minimal_points() == s)
 
 
+def given_and_closure_made(path_lists):
+    """A base set of given points (made from their paths) united with a
+    downward closure's, so that some members are closure-made."""
+    given_paths, tips = path_lists
+    made = BasePointSet.downward_closure(map(Point, tips))
+    return BasePointSet.of(closure(given_paths)).union(made)
+
+
+mixed_base_sets = st.one_of(
+    path_lists.map(lambda tips: BasePointSet.downward_closure(map(Point, tips))),
+    st.tuples(path_lists, path_lists).map(given_and_closure_made),
+)
+
+
+@given(mixed_base_sets, symbolic_sets, st.data())
+def test_derived_sets_are_built_canonical(base, s, data):
+    # closed points, minimal points and a set minus points are not passed
+    # through the constructors; equality of point sets compares their parts
+    # in order, so each must come out as the constructors would make it
+    # (the set's constructor keeps a fan as given, so each fan is rebuilt)
+    closed = NonsingularModel(base).closed_points()
+    above = st.builds(Point.child, st.sampled_from(base.sorted()), labels)
+    removed = data.draw(
+        st.lists(st.one_of(above, st.sampled_from(s.singles or (ROOT,)), points), max_size=6)
+    )
+    derived = [closed, closed.minimal_points(), closed.minus(removed)]
+    derived += [s.minimal_points(), s.minus(removed), s.minus(removed).minimal_points()]
+    for d in derived:
+        again = SymbolicPointSet(d.singles, tuple(CofiniteFan(f.base, f.excluded) for f in d.fans))
+        assert again.singles == d.singles and again.fans == d.fans
+        assert again == d
+
+
 @given(st.lists(labels, min_size=1, max_size=4, unique=True), st.integers(0, 3))
 def test_truncated_tree_lists_its_points_in_canonical_order(alphabet, level):
     pts = TruncatedTree(alphabet=tuple(alphabet), max_level=level).points
