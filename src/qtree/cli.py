@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_, help_text) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(verb, help=help_text), verb)
+        _add_arguments(sub.add_parser(verb, prog=f"qtree {verb}", help=help_text), verb)
     return parser
 
 

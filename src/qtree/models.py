@@ -75,12 +75,12 @@ def model_from_ideal(ideal: CompleteIdeal) -> NonsingularModel:
 def minimal_desingularization(ideal: CompleteIdeal) -> NonsingularModel:
     """The minimal desingularization of the blowup of a complete ideal.
 
-    This is the blowup of the saturation, and it has the same base points as
-    the original ideal.
+    This is the blowup of the saturation, which has the same base points as
+    the original ideal, so the model is read off those base points.
     """
     if ideal.is_unit:
         raise UnitIdeal("the unit ideal defines no projective model")
-    return model_from_ideal(ideal.saturate())
+    return NonsingularModel(ideal.base_points())
 
 
 def _validated_antichain(points: Iterable[Point]) -> tuple[Point, ...]:

@@ -16,8 +16,9 @@ Only the two coordinate directions admit quadratic transforms of monomial
 ideals (a transform centered at a generic direction destroys monomiality).
 That loses nothing for this backend: the Rees valuations of a monomial ideal
 are monomial valuations, so all base points of complete monomial ideals are
-toric; the cross-layer agreement between the base-point search by transforms
-here and the combinatorial chain closure is exercised by the test suite.
+toric.  Base points are read off the factorization, as the chains to the
+factor points; the test suite checks them against a descent through
+quadratic transforms.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable
 
 from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary, OutputTooLarge
 from .ideals import BasePointSet, CompleteIdeal
-from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR, _point_above
+from .points import FrozenValue, Point, X_DIR, Y_DIR
 
 Exponent = tuple[int, int]
 
@@ -370,31 +371,17 @@ def simple_ideal(v: MonomialValuation) -> MonomialIdeal:
 
 
 def base_points(ideal: MonomialIdeal) -> BasePointSet:
-    """All points where the transform of the ideal stays proper.
+    """All points where some transform of the ideal stays proper.
 
-    Depth-first descent with an explicit stack, so chain length is not bound
-    by the recursion limit.  From the root each coordinate direction is
-    followed while the transform there is still proper; the descent ends as
-    base-point sets are finite, and meets only toric points as the Rees
-    valuations of a monomial ideal are monomial.  The base set is the
-    downward closure of the points where it stops: only their paths are
-    built, so a chain of length L costs O(L).
+    These are the base points of its integral closure, which by unique
+    factorization are the chains from the root to the closure's factor
+    points, one per edge of the Newton polygon.  A chain of length L costs
+    O(L), and a factor above level ``MAX_PATH_DEPTH`` raises
+    :class:`OutputTooLarge` before any label is made.
     """
     if not ideal.is_m_primary:
         raise NotMPrimary("base points are defined for m-primary ideals")
-    terminals: list[Point] = []
-    stack = [(ROOT, ideal.integral_closure())]
-    while stack:
-        point, current = stack.pop()
-        proper = False
-        for direction in (X_DIR, Y_DIR):
-            transform = current.quadratic_transform(direction)
-            if not transform.is_unit:
-                proper = True
-                stack.append((_point_above(point, direction, point.level + 1), transform))
-        if not proper:
-            terminals.append(point)
-    return BasePointSet.downward_closure(terminals)
+    return factorize(ideal.integral_closure()).base_points()
 
 
 def factorize(ideal: MonomialIdeal) -> CompleteIdeal:
@@ -487,8 +474,12 @@ def _closure_of_polygon(vertices: tuple[Exponent, ...]) -> MonomialIdeal:
             gens.extend((a1 + _ceil_div(da * k, db), b1 - k) for k in range(1, db + 1))
         else:
             gens.extend((a1 + j, b1 - db * j // da) for j in range(1, da + 1))
-    closed = MonomialIdeal(tuple(gens))
-    object.__setattr__(closed, "_complete", True)
+    # plain ints, strictly increasing in a and decreasing in b: already the
+    # minimal generators, so they are stored as built
+    closed = object.__new__(MonomialIdeal)
+    fields = closed.__dict__
+    fields["gens"] = tuple(gens)
+    fields["_complete"] = True
     return closed
 
 

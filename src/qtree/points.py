@@ -433,6 +433,9 @@ class SymbolicPointSet(FrozenValue):
         for p in removed:
             if p.path:
                 by_parent.setdefault(p.path[:-1], []).append(p.path[-1])
+        # a base path is read only at the level of some removed point's
+        # parent: a closure-made base elsewhere builds no path
+        levels = {len(path) for path in by_parent}
         singles = tuple(p for p in self.singles if p not in removed)
         # a fan over a base that no removed point lies above stays as it is;
         # no single lies above a fan base, so the parts stay canonical, and
@@ -442,7 +445,7 @@ class SymbolicPointSet(FrozenValue):
                 fan.base,
                 tuple(sorted({*fan.excluded, *by_parent[fan.base.path]}, key=label_key)),
             )
-            if fan.base.path in by_parent
+            if fan.base.level in levels and fan.base.path in by_parent
             else fan
             for fan in self.fans
         )

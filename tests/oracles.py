@@ -3,8 +3,10 @@
 Nothing here calls into the package's Newton-polygon machinery: closure
 membership is decided by the power test (k copies of a candidate dominate a
 sum of k generators), and the hull used to bound the power test is a
-stand-alone staircase scan.  The oracles pin the expected values against
-which the package is checked.
+stand-alone staircase scan.  The one exception is the base-point descent,
+which steps through the package's closures and transforms but never its
+factorization.  The oracles pin the expected values against which the
+package is checked.
 """
 
 from __future__ import annotations
@@ -200,6 +202,28 @@ def closure_by_valuation_test(gens: Iterable[Pair], weight_bound: int) -> tuple[
         if all(p * a + q * b >= ideal_values[p, q] for p, q in weights)
     ]
     return minimize(accepted)
+
+
+def descent_base_points(ideal) -> frozenset[Point]:
+    """Base points of a monomial ideal by descent through quadratic transforms.
+
+    A point is a base point iff the transform of the ideal there is proper.
+    From the root each coordinate direction is followed, with an explicit
+    stack, while the transform there stays proper; the Rees valuations of a
+    monomial ideal are monomial, so no other direction leads to a base
+    point.  The reference for ``base_points``, which reads them off the
+    factorization instead.
+    """
+    found = []
+    stack = [((), ideal.integral_closure())]
+    while stack:
+        path, current = stack.pop()
+        found.append(path)
+        for direction in ("X", "Y"):
+            transform = current.quadratic_transform(direction)
+            if not transform.is_unit:
+                stack.append((path + (direction,), transform))
+    return frozenset(map(Point, found))
 
 
 def incomparable(a, b) -> bool:

@@ -82,6 +82,7 @@ def test_criterion_2_two_maximal_ideal_golden():
     assert gens.to_text() == "x^4, x^2 y, x y^2, y^4"
     assert j.is_saturated()
     assert base_points(gens).points == j.base_points().points
+    assert base_points(gens).points == oracles.descent_base_points(gens)
     assert d_star in closed and d_2star in closed
     assert verdicts.maximal_ideal_count == 2
     assert verdicts.irredundant is Verdict.YES
@@ -272,6 +273,7 @@ def test_criterion_9_cross_layer_agreement():
         j = CompleteIdeal.simple(point).saturate()
         gens = generators_for_ideal(j)
         assert base_points(gens).points == j.base_points().points
+        assert base_points(gens).points == oracles.descent_base_points(gens)
         assert factorize(gens) == j
         checked += 1
     binary = TruncatedTree(alphabet=("X", "Y"), max_level=4)
@@ -279,11 +281,13 @@ def test_criterion_9_cross_layer_agreement():
         j = CompleteIdeal.of(sorted(base, key=lambda p: p.sort_key()))
         gens = generators_for_ideal(j)
         assert base_points(gens).points == j.base_points().points
+        assert base_points(gens).points == oracles.descent_base_points(gens)
         assert factorize(gens) == j
         checked += 1
     report(
         9,
-        f"combinatorial vs monomial base points and factorization round trip "
+        f"combinatorial vs monomial vs transform-descent base points and "
+        f"factorization round trip "
         f"on {checked} saturated toric ideals, zero failures",
     )
 

@@ -672,6 +672,11 @@ def test_help_is_unchanged(capsys, monkeypatch, verb):
             "qtree saturate: error: the following arguments are required: input\n",
         ),
         (
+            ("--pretty", "saturate"),
+            "usage: qtree saturate [-h] [--pretty] [--generators] input\n"
+            "qtree saturate: error: the following arguments are required: input\n",
+        ),
+        (
             ("transform", "x"),
             "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
             "qtree transform: error: the following arguments are required: --dir\n",
@@ -687,7 +692,7 @@ def test_help_is_unchanged(capsys, monkeypatch, verb):
             "qtree closed-points: error: argument --truncate: invalid int value: 'abc'\n",
         ),
     ],
-    ids=["no-verb", "unknown-verb", "unknown-verb-after-a-flag", "unknown-flag", "no-input", "no-dir", "bad-dir", "bad-level"],
+    ids=["no-verb", "unknown-verb", "unknown-verb-after-a-flag", "unknown-flag", "no-input", "no-input-after-a-flag", "no-dir", "bad-dir", "bad-level"],
 )
 def test_usage_errors_are_unchanged(capsys, monkeypatch, argv, err):
     assert run_exit(capsys, monkeypatch, *argv) == (2, "", err)

@@ -214,6 +214,17 @@ def test_closed_points_of_a_long_chain_read_no_path():
     assert all(_unread(p) for p in model.base if type(p) is _LinkedPoint)
 
 
+def test_minus_reads_only_the_fan_bases_it_changes():
+    _, first, second = _parting_chains(4000)
+    result = minimal_incomparable_set([Point(first), Point(second)])
+    # one fan per base point of the minimal model, whose chains end at the
+    # parents of the two points
+    assert not result.singles and len(result.fans) == 2 * 3999 - 1999
+    linked = [fan.base for fan in result.fans if type(fan.base) is _LinkedPoint]
+    assert len(linked) == len(result.fans) - 3
+    assert all(map(_unread, linked))
+
+
 @pytest.mark.parametrize("level", [300, 4000])
 def test_a_closure_builds_no_path_or_hash(level):
     ideal, first, second = _parting_chains(level)

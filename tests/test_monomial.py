@@ -182,6 +182,47 @@ class TestOutputSensitiveClosure:
         assert not M((3, 0), (1, 1)).is_m_primary
 
 
+class TestClosuresAreStoredAsBuilt:
+    """A closure keeps the generators its polygon walk lays down: they are
+    the canonical minimal set the validating constructor would make."""
+
+    valuation = st.tuples(st.integers(1, 60), st.integers(1, 60)).filter(
+        lambda w: math.gcd(*w) == 1
+    )
+    toric = st.dictionaries(
+        st.lists(st.sampled_from("XY"), max_size=6).map(tuple),
+        st.integers(1, 4),
+        min_size=1,
+        max_size=4,
+    )
+
+    @staticmethod
+    def check(closed):
+        assert MonomialIdeal(closed.gens).gens == closed.gens
+        assert all(type(e) is int for g in closed.gens for e in g)
+        assert closed.is_complete
+
+    @given(m_primary_gens(200, 200))
+    def test_integral_closure(self, gens):
+        self.check(MonomialIdeal(gens).integral_closure())
+
+    @given(m_primary_gens(40, 40), st.sampled_from("XY"))
+    def test_quadratic_transform(self, gens, direction):
+        transform = MonomialIdeal(gens).integral_closure().quadratic_transform(direction)
+        if not transform.is_unit:
+            self.check(transform)
+
+    @given(valuation)
+    def test_simple_ideal(self, weights):
+        self.check(simple_ideal(MonomialValuation(*weights)))
+
+    @given(toric)
+    def test_generators_for_ideal(self, factors):
+        self.check(
+            generators_for_ideal(CompleteIdeal.of({P(*p): k for p, k in factors.items()}))
+        )
+
+
 class TestGeneratorsEdgeWalk:
     """One edge per factor against the repeated generator product."""
 
@@ -295,6 +336,8 @@ class TestBasePoints:
         assert descended.sorted() == closed.sorted()
         assert descended.terminals() == closed.terminals()
         assert list(descended.labels_above()) == list(closed.labels_above())
+        oracle = oracles.descent_base_points(ideal)
+        assert descended.sorted() == oracles.reference_sorted(oracle)
 
 
 class TestFactorize:
@@ -424,14 +467,18 @@ def test_cross_layer_base_point_agreement():
     ]
     for point in coordinate_points:
         j = CompleteIdeal.simple(point).saturate()
-        assert base_points(generators_for_ideal(j)).points == j.base_points().points
+        gens = generators_for_ideal(j)
+        assert base_points(gens).points == j.base_points().points
+        assert base_points(gens).points == oracles.descent_base_points(gens)
 
 
 def test_base_points_of_a_chain_deeper_than_the_recursion_limit():
     # (x^d, y) is the simple ideal of v(1, d), centered d - 1 steps along X
     d = sys.getrecursionlimit() + 100
-    found = base_points(MonomialIdeal.of((d, 0), (0, 1)))
+    ideal = MonomialIdeal.of((d, 0), (0, 1))
+    found = base_points(ideal)
     assert found == CompleteIdeal.simple(P(*"X" * (d - 1))).base_points()
+    assert found.points == oracles.descent_base_points(ideal)
 
 
 def test_transforms_along_a_chain_reach_m_then_unit():
@@ -539,6 +586,22 @@ class TestDepthCap:
                 point_for_valuation(MonomialValuation(p, q))
         with pytest.raises(OutputTooLarge):
             factorize(M((10**12, 0), (0, 1)))
+
+    def test_base_points_above_the_cap_are_refused_before_the_first_label(
+        self, monkeypatch
+    ):
+        from qtree import OutputTooLarge, monomial
+
+        def no_step(*args):
+            raise AssertionError("a label or a transform was made before the depth check")
+
+        # (x^d, y) is the simple ideal of a point at level d - 1; a descent
+        # through transforms would take d of them to find its chain
+        monkeypatch.setattr(monomial, "_path_of_runs", no_step)
+        monkeypatch.setattr(MonomialIdeal, "quadratic_transform", no_step)
+        d = 2 * monomial.MAX_PATH_DEPTH + 2
+        with pytest.raises(OutputTooLarge):
+            base_points(M((d, 0), (0, 1)))
 
 
 @given(st.integers(1, 400), st.integers(1, 400))
