@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary, OutputTooLarge
 from .ideals import BasePointSet, CompleteIdeal
-from .points import FrozenValue, Point, X_DIR, Y_DIR
+from .points import FrozenValue, Point, X_DIR, Y_DIR, _trusted_point
 
 Exponent = tuple[int, int]
 
@@ -338,7 +338,8 @@ def point_for_valuation(v: MonomialValuation) -> Point:
             f"the valuation ({v.p}, {v.q}) names a point at level {depth}, "
             f"above the cap of {MAX_PATH_DEPTH}"
         )
-    return Point(_path_of_runs(runs))
+    # the labels are the two coordinate directions: nothing to validate
+    return _trusted_point(_path_of_runs(runs))
 
 
 def _path_of_runs(runs: list[tuple[str, int]]) -> tuple[str, ...]:

@@ -50,8 +50,9 @@ class FrozenValue:
     """An immutable value: equal to another of its class with equal fields.
 
     A subclass names its fields in ``_fields``; its ``__init__`` stores them
-    with ``object.__setattr__`` (:class:`Point` through its slots' own
-    descriptors), since assignment and deletion are refused afterwards.
+    with ``object.__setattr__`` or straight into the instance dict
+    (:class:`Point` through its slots' own descriptors), since assignment
+    and deletion are refused afterwards.
     Equality, hash and ``repr`` read only those fields, so caches kept
     beside them (``cached_property`` values, indexes, flags) never change
     the value.  Only :class:`Point` spells out ``__eq__`` and ``__hash__``,
@@ -112,7 +113,10 @@ class Point(FrozenValue):
         if not isinstance(path, tuple):
             path = tuple(path)
             _set_path(self, path)
-        _check_labels(path)
+        # checked here, not through _check_labels: points are made often
+        for label in path:
+            if not isinstance(label, str) or not label:
+                raise ValueError(_BAD_LABEL)
         _set_hash(self, hash(path))
 
     def __hash__(self) -> int:
@@ -293,14 +297,13 @@ class CofiniteFan(FrozenValue):
     _fields = ("base", "excluded")
 
     def __init__(self, base: Point, excluded: tuple[str, ...] = ()) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "excluded", excluded)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        labels = set(self.excluded)
-        _check_labels(labels)
-        object.__setattr__(self, "excluded", tuple(sorted(labels, key=label_key)))
+        excluded = tuple(excluded)
+        _check_labels(excluded)
+        if len(excluded) > 1:
+            excluded = tuple(sorted(set(excluded), key=label_key))
+        fields = self.__dict__
+        fields["base"] = base
+        fields["excluded"] = excluded
 
     def __str__(self) -> str:
         if not self.excluded:
@@ -336,8 +339,9 @@ class SymbolicPointSet(FrozenValue):
     def __init__(
         self, singles: tuple[Point, ...] = (), fans: tuple[CofiniteFan, ...] = ()
     ) -> None:
-        object.__setattr__(self, "singles", singles)
-        object.__setattr__(self, "fans", fans)
+        fields = self.__dict__
+        fields["singles"] = singles
+        fields["fans"] = fans
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -355,19 +359,26 @@ class SymbolicPointSet(FrozenValue):
                 common = tuple(set(kept.excluded).intersection(fan.excluded))
                 if len(common) != len(kept.excluded):
                     fans[path] = CofiniteFan(kept.base, common)
-        singles = set()
+        # path -> the single on that path
+        singles: dict[tuple[str, ...], Point] = {}
         for p in self.singles:
             path = p.path
             fan = fans.get(path[:-1]) if path else None
             if fan is None:
-                singles.add(p)
+                singles[path] = p
             elif path[-1] in fan.excluded:
                 excluded = tuple(l for l in fan.excluded if l != path[-1])
                 fans[path[:-1]] = CofiniteFan(fan.base, excluded)
-        object.__setattr__(self, "singles", sorted_points(singles))
-        object.__setattr__(
-            self, "fans", tuple(sorted(fans.values(), key=lambda f: f.base.sort_key()))
-        )
+        # ``Point.sort_key`` order, with each distinct label ranked once
+        labels = sorted(set().union(*singles, *fans), key=label_key)
+        rank = dict(zip(labels, range(len(labels)))).__getitem__
+
+        def key(path: tuple[str, ...]) -> tuple:
+            return len(path), tuple(map(rank, path))
+
+        fields = self.__dict__
+        fields["singles"] = tuple(map(singles.__getitem__, sorted(singles, key=key)))
+        fields["fans"] = tuple(map(fans.__getitem__, sorted(fans, key=key)))
 
     @classmethod
     def _canonical(
@@ -458,6 +469,7 @@ class SymbolicPointSet(FrozenValue):
                 return False
         return all(p in other for p in self.singles)
 
+    @cached_property
     def _member_below(self) -> dict[tuple[str, ...], bool]:
         """For the path of every single and every fan base: whether a member
         of the set, other than a single at that path, lies weakly below it.
@@ -495,7 +507,7 @@ class SymbolicPointSet(FrozenValue):
         """True iff no two distinct members of the set are comparable: no
         member lies below a single or a fan base, and no fan's base is a
         single."""
-        return not any(self._member_below().values()) and not any(
+        return not any(self._member_below.values()) and not any(
             f.base in self._single_set for f in self.fans
         )
 
@@ -507,7 +519,7 @@ class SymbolicPointSet(FrozenValue):
         point of the fan dominates the base, so one dominated member dooms
         the whole fan).  Parts kept in their order stay canonical.
         """
-        below = self._member_below()
+        below = self._member_below
         singles = tuple(p for p in self.singles if not below[p.path])
         fans = tuple(
             f

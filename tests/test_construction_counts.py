@@ -17,14 +17,17 @@ from qtree import (
     BasePointSet,
     CofiniteFan,
     CompleteIdeal,
+    IntersectionDescriptor,
     MonomialIdeal,
     NonsingularModel,
     Point,
     SymbolicPointSet,
     TruncatedTree,
     base_points,
+    classify,
     minimal_desingularization,
     minimal_incomparable_set,
+    represents_same_ring,
 )
 from qtree import models, points, serialize
 from qtree.cli import main
@@ -36,13 +39,14 @@ def built(monkeypatch):
     """The point sets and fans constructed while a test runs, by class:
     those made canonical by their constructor and those built canonical."""
     made = {SymbolicPointSet: [], CofiniteFan: []}
-    for cls, values in made.items():
+    # the method of each class that makes its input canonical
+    for cls, name in ((SymbolicPointSet, "__post_init__"), (CofiniteFan, "__init__")):
 
-        def counted(self, construct=cls.__post_init__, values=values):
+        def counted(self, *args, construct=getattr(cls, name), values=made[cls], **kwargs):
             values.append(self)
-            construct(self)
+            construct(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, name, counted)
 
     def trusted_fan(base, excluded, construct=points._trusted_fan):
         fan = construct(base, excluded)
@@ -73,6 +77,23 @@ def canonicalized(monkeypatch):
 
     monkeypatch.setattr(SymbolicPointSet, "__post_init__", counted)
     return made
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The point sets that the ``_member_below`` sweep ran on while a test
+    runs."""
+    swept = []
+    sweep = SymbolicPointSet._member_below.func
+
+    def counted(self):
+        swept.append(self)
+        return sweep(self)
+
+    below = cached_property(counted)
+    below.__set_name__(SymbolicPointSet, "_member_below")
+    monkeypatch.setattr(SymbolicPointSet, "_member_below", below)
+    return swept
 
 
 def _model():
@@ -131,6 +152,25 @@ def test_is_antichain_builds_no_set_or_fan(built, make, antichain):
     built[CofiniteFan].clear()
     assert s.is_antichain() is antichain
     assert built == {SymbolicPointSet: [], CofiniteFan: []}
+
+
+def test_the_sweep_runs_once_per_point_set(sweeps):
+    model = _model()
+    d = IntersectionDescriptor(model, model.closed_points())
+    classify(d)
+    assert d.subset.is_antichain()
+    minimal = d.subset.minimal_points()
+    assert minimal == d.subset
+    classify(d)
+    assert len(sweeps) == 1 and sweeps[0] is d.subset
+    # a second set of the same model: one more sweep, for it alone
+    e = IntersectionDescriptor(model, d.subset.minus([P("X", "Y", "t1", "X")]))
+    assert not represents_same_ring(d, e)
+    assert represents_same_ring(e, e)
+    assert len(sweeps) == 2 and sweeps[1] is e.subset
+    # a set derived by the sweep is a new value, with a sweep of its own
+    assert minimal.is_antichain() and minimal.minimal_points() == minimal
+    assert len(sweeps) == 3 and sweeps[2] is minimal
 
 
 def test_minimal_incomparable_set_validates_its_antichain_once(monkeypatch):

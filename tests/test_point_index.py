@@ -6,8 +6,8 @@ path-keyed index and one sweep; ``oracles`` keeps the pairwise definitions
 they replace.  A base set's members may come with their parents (made by
 ``child`` or ``parent``), or each alone from its path, or both mixed; the
 index must answer alike.  The label alphabet includes
-``A``, which sorts before ``X`` as a plain string but after ``Y`` in
-canonical label order.
+``A``, which sorts before ``X`` as a plain string, and ``X1``, which sorts
+between ``X`` and ``Y``, but both after ``Y`` in canonical label order.
 """
 
 import os
@@ -39,7 +39,7 @@ from qtree import (
 )
 from qtree.cli import main
 
-labels = st.sampled_from(["X", "Y", "A", "t1"])
+labels = st.sampled_from(["X", "Y", "A", "X1", "t1"])
 paths = st.lists(labels, max_size=5).map(tuple)
 points = paths.map(Point)
 

@@ -13,8 +13,11 @@ from qtree import (
     TruncatedTree,
     sorted_points,
 )
+from qtree.points import label_key
 
-labels = st.sampled_from(["X", "Y", "t1", "t2"])
+# "X1" sorts between "X" and "Y" as a plain string, but after both in
+# canonical label order
+labels = st.sampled_from(["X", "Y", "t1", "t2", "X1"])
 points = st.builds(lambda ls: Point(tuple(ls)), st.lists(labels, max_size=4))
 
 
@@ -56,6 +59,42 @@ def test_is_antichain():
     assert not is_antichain({ROOT, P("X")})
     assert is_antichain({P("X", "Y"), P("Y", "X")})
     assert is_antichain(set())
+
+
+def test_constructors_check_and_normalize_their_input():
+    with pytest.raises(ValueError, match="^direction labels must be nonempty strings$"):
+        Point(("a", None))
+    made = Point(["X", "Y"])
+    assert made.path == ("X", "Y") and type(made.path) is tuple
+    # a fan with one bad excluded label: test_fan_refuses_an_empty_excluded_label
+    assert CofiniteFan(ROOT, ("t1", "t1")).excluded == ("t1",)
+    assert CofiniteFan(ROOT, ("t1", "X")).excluded == ("X", "t1")
+    assert CofiniteFan(ROOT, ["t1"]).excluded == ("t1",)
+    assert CofiniteFan(ROOT, iter(["t2", "Y"])).excluded == ("Y", "t2")
+
+
+# "A" sorts before "X" as a plain string and "X1" between "X" and "Y", but
+# both after "Y" in canonical label order
+order_labels = st.sampled_from(["X", "Y", "A", "X1", "t1"])
+order_paths = st.lists(order_labels, max_size=4).map(tuple)
+
+
+@given(
+    st.lists(order_paths, max_size=8),
+    st.lists(st.tuples(order_paths, st.lists(order_labels, max_size=3)), max_size=4),
+)
+def test_parts_come_out_in_sort_key_order(single_paths, fan_parts):
+    s = SymbolicPointSet(
+        tuple(map(Point, single_paths)),
+        tuple(CofiniteFan(Point(base), tuple(excluded)) for base, excluded in fan_parts),
+    )
+    for keys in (
+        [p.sort_key() for p in s.singles],
+        [f.base.sort_key() for f in s.fans],
+    ):
+        # strictly increasing: in order and without repeats
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(f.excluded == tuple(sorted(f.excluded, key=label_key)) for f in s.fans)
 
 
 def test_partial_order_axioms_exhaustive():
@@ -234,7 +273,7 @@ atoms = st.lists(
     max_size=4,
 )
 
-TREE = TruncatedTree(max_level=4)
+TREE = TruncatedTree(alphabet=("X", "Y", "t1", "t2", "X1"), max_level=4)
 
 
 def naive_members(s: SymbolicPointSet) -> frozenset[Point]:
