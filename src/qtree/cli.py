@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import serialize
 from .errors import OracleMismatch, QTreeError
@@ -234,28 +234,41 @@ def _cmd_emit_dot(args) -> str:
     return model_to_dot(_load(args, serialize.model_from_json))
 
 
+# verb -> (function, help, its one option beyond --pretty)
 _COMMANDS = {
-    "saturate": (_cmd_saturate, "saturation of a complete ideal"),
-    "base-points": (_cmd_base_points, "base points of a complete ideal"),
-    "rees": (_cmd_rees, "Rees valuations of a complete ideal"),
-    "closed-points": (_cmd_closed_points, "closed points of a model"),
-    "desingularize": (_cmd_desingularize, "minimal desingularization of a blowup"),
-    "join": (_cmd_join, "join of two models"),
-    "minimal-model": (_cmd_minimal_model, "least model containing an antichain"),
+    "saturate": (_cmd_saturate, "saturation of a complete ideal", "--generators"),
+    "base-points": (_cmd_base_points, "base points of a complete ideal", None),
+    "rees": (_cmd_rees, "Rees valuations of a complete ideal", None),
+    "closed-points": (_cmd_closed_points, "closed points of a model", "--truncate"),
+    "desingularize": (_cmd_desingularize, "minimal desingularization of a blowup", "--dot"),
+    "join": (_cmd_join, "join of two models", "--dot"),
+    "minimal-model": (_cmd_minimal_model, "least model containing an antichain", "--dot"),
     "min-incomparable": (
         _cmd_min_incomparable,
         "points minimal with respect to incomparability with an antichain",
+        "--truncate",
     ),
-    "classify": (_cmd_classify, "classify an intersection of closed points"),
-    "factorize": (_cmd_factorize, "factor a complete monomial ideal"),
-    "closure": (_cmd_closure, "integral closure of a monomial ideal"),
-    "transform": (_cmd_transform, "quadratic transform of a monomial ideal"),
-    "point-of-valuation": (
-        _cmd_point_of_valuation,
-        "tree point of a monomial valuation",
-    ),
-    "generators": (_cmd_generators, "monomial generators of a toric ideal"),
-    "emit-dot": (_cmd_emit_dot, "DOT drawing of a model"),
+    "classify": (_cmd_classify, "classify an intersection of closed points", "--henselian"),
+    "factorize": (_cmd_factorize, "factor a complete monomial ideal", None),
+    "closure": (_cmd_closure, "integral closure of a monomial ideal", None),
+    "transform": (_cmd_transform, "quadratic transform of a monomial ideal", "--dir"),
+    "point-of-valuation": (_cmd_point_of_valuation, "tree point of a monomial valuation", None),
+    "generators": (_cmd_generators, "monomial generators of a toric ideal", None),
+    "emit-dot": (_cmd_emit_dot, "DOT drawing of a model", "--dot"),
+}
+
+_OPTIONS = {
+    "--dot": {"action": "store_true", "help": "emit DOT instead of JSON"},
+    "--generators": {
+        "action": "store_true", "help": "print monomial generators (toric factors only)"
+    },
+    "--henselian": {"action": "store_true", "help": "classify over a Henselian base"},
+    "--dir": {"required": True, "choices": ("X", "Y")},
+    "--truncate": {
+        "type": int,
+        "metavar": "L",
+        "help": "cross-check the output against the brute-force oracle up to level L",
+    },
 }
 
 
@@ -272,36 +285,11 @@ class _Parser(argparse.ArgumentParser):
             )
 
 
-def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
-    p.add_argument("input", help="file path, inline JSON, or - for stdin")
-    p.add_argument("--pretty", action="store_true", help="human-readable output")
-    if verb in ("desingularize", "join", "minimal-model", "emit-dot"):
-        p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    if verb == "saturate":
-        p.add_argument(
-            "--generators",
-            action="store_true",
-            help="print monomial generators (toric factors only)",
-        )
-    if verb == "classify":
-        p.add_argument(
-            "--henselian",
-            action="store_true",
-            help="classify over a Henselian base",
-        )
-    if verb == "transform":
-        p.add_argument("--dir", required=True, choices=("X", "Y"))
-    if verb in ("closed-points", "min-incomparable"):
-        p.add_argument(
-            "--truncate",
-            type=int,
-            metavar="L",
-            help="cross-check the output against the brute-force oracle "
-            "up to level L",
-        )
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.  A verb in ``argv[0]`` gets
+    the only subparser, since the top-level parser hands the rest of such a
+    line to that verb's alone; any other line gets every verb's, so that
+    help and errors list them all."""
     parser = _Parser(
         prog="qtree",
         # as 3.10-3.12 wrap it at 80 columns, where 3.13 joins the last lines
@@ -309,31 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="calculus for the quadratic tree of a 2-dimensional "
         "regular local ring",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, help_text) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(verb, prog=f"qtree {verb}", help=help_text), verb)
+    sub = parser.add_subparsers(dest="verb", required=True, prog="qtree")
+    verbs = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for verb in verbs:
+        _, help_text, option = _COMMANDS[verb]
+        p = sub.add_parser(verb, prog=f"qtree {verb}", help=help_text)
+        p.add_argument("input", help="file path, inline JSON, or - for stdin")
+        p.add_argument("--pretty", action="store_true", help="human-readable output")
+        if option:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the parser of the verb in ``argv[0]`` alone, the one that
-    ``build_parser`` would hand the rest of the line to.  Anything it does
-    not parse whole -- no verb, an unknown one, an option before the verb,
-    arguments left over -- goes through the full parser, so usage, help and
-    errors read as they do there."""
-    verb = argv[0] if argv else None
-    if verb in _COMMANDS:
-        parser = _Parser(prog=f"qtree {verb}")
-        _add_arguments(parser, verb)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.verb = verb
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     level = getattr(args, "truncate", None)
     try:
         # a level out of range is refused before any input is read

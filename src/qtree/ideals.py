@@ -26,6 +26,7 @@ from .points import (
     OrderValuation,
     Point,
     _common_prefix_length,
+    _is_int,
     _point_above,
     label_key,
     sorted_points,
@@ -181,6 +182,8 @@ class CompleteIdeal(FrozenValue):
     def __post_init__(self) -> None:
         counts: Counter[Point] = Counter()
         for point, mult in self.factors:
+            if not _is_int(mult):
+                raise ValueError("factor multiplicities must be integers")
             if mult < 1:
                 raise ValueError("factor multiplicities must be positive")
             counts[point] += mult
@@ -228,6 +231,8 @@ class CompleteIdeal(FrozenValue):
         return CompleteIdeal(self.factors + other.factors)
 
     def power(self, k: int) -> "CompleteIdeal":
+        if not _is_int(k):
+            raise ValueError("powers must be integers")
         if k < 1:
             raise ValueError("only positive powers are meaningful here")
         return CompleteIdeal(tuple((p, m * k) for p, m in self.factors))

@@ -73,7 +73,11 @@ class IntersectionDescriptor(FrozenValue):
 
 
 class Classification(FrozenValue):
-    """Verdicts for one descriptor, each with a one-line justification."""
+    """Verdicts for one descriptor, each with a one-line justification.
+
+    An intersection of closed points is always Noetherian, so that verdict
+    and its basis are constants of the class, kept among the fields.
+    """
 
     _fields = (
         "maximal_ideal_count",
@@ -87,6 +91,8 @@ class Classification(FrozenValue):
         "ring_point",
         "singularity",
     )
+    noetherian = True
+    noetherian_basis = _NOETHERIAN_BASIS
 
     def __init__(
         self,
@@ -96,8 +102,6 @@ class Classification(FrozenValue):
         irredundant_basis: str,
         essential: Verdict,
         essential_basis: str,
-        noetherian: bool = True,
-        noetherian_basis: str = _NOETHERIAN_BASIS,
         ring_point: Point | None = None,
         singularity: str | None = None,
     ) -> None:
@@ -107,8 +111,6 @@ class Classification(FrozenValue):
         object.__setattr__(self, "irredundant_basis", irredundant_basis)
         object.__setattr__(self, "essential", essential)
         object.__setattr__(self, "essential_basis", essential_basis)
-        object.__setattr__(self, "noetherian", noetherian)
-        object.__setattr__(self, "noetherian_basis", noetherian_basis)
         object.__setattr__(self, "ring_point", ring_point)
         object.__setattr__(self, "singularity", singularity)
 

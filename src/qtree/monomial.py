@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .errors import NonToricPoint, NotComplete, NotCoprime, NotMPrimary, OutputTooLarge
 from .ideals import BasePointSet, CompleteIdeal
-from .points import FrozenValue, Point, X_DIR, Y_DIR, _trusted_point
+from .points import FrozenValue, Point, X_DIR, Y_DIR, _is_int, _trusted_point
 
 Exponent = tuple[int, int]
 
@@ -83,11 +83,12 @@ class MonomialIdeal(FrozenValue):
         if not self.gens:
             raise ValueError("a monomial ideal needs at least one generator")
         pairs = []
-        for g in self.gens:
-            a, b = g
+        for a, b in self.gens:
+            if not (_is_int(a) and _is_int(b)):
+                raise ValueError("exponents must be integers")
             if a < 0 or b < 0:
                 raise ValueError("exponents must be non-negative")
-            pairs.append((int(a), int(b)))
+            pairs.append((a, b))
         object.__setattr__(self, "gens", _minimal_exponents(pairs))
 
     @classmethod

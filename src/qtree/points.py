@@ -40,6 +40,12 @@ def label_key(label: str) -> tuple[int, str]:
 _BAD_LABEL = "direction labels must be nonempty strings"
 
 
+def _is_int(value: object) -> bool:
+    """An integer: bools, which Python counts as ints (and JSON's ``true``
+    and ``false`` decode to), are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_labels(labels: Iterable[str]) -> None:
     for label in labels:
         if not isinstance(label, str) or not label:

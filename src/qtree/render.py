@@ -10,7 +10,6 @@ the base set).
 from __future__ import annotations
 
 from .models import NonsingularModel
-from .points import Point
 
 
 def _quoted(text: str) -> str:
@@ -18,35 +17,34 @@ def _quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _node_id(p: Point) -> str:
-    # a dot or backslash inside a label is escaped, so that the paths
-    # ("X", "Y") and ("X.Y",) get different ids
-    return "D" + "".join("." + l.replace("\\", "\\\\").replace(".", "\\.") for l in p.path)
-
-
 def model_to_dot(model: NonsingularModel) -> str:
-    base = model.base
-    terminals = set(base.terminals())
     lines = [
         "digraph quadratic_tree {",
         "  rankdir=TB;",
         '  node [fontname="Helvetica"];',
     ]
-    ids = {p: _quoted(_node_id(p)) for p in base.sorted()}
-    for p, node in ids.items():
-        shape = "peripheries=2, " if p in terminals else ""
+    # the members come breadth first, each one's labels above in label
+    # order, so the ids of the members above queue up in the order the
+    # members come; a dot or backslash inside a label is escaped, so that
+    # the paths ("X", "Y") and ("X.Y",) get different ids
+    ids = ["D"]
+    edges = []
+    for i, (p, labels) in enumerate(model.base.labels_above()):
+        node = ids[i]
+        shape = "" if labels else "peripheries=2, "
         lines.append(
-            f"  {node} [label={_quoted(str(p))}, {shape}style=filled, "
+            f"  {_quoted(node)} [label={_quoted(str(p))}, {shape}style=filled, "
             "fillcolor=lightgrey];"
         )
-    for p, node in ids.items():
-        if not p.is_root:
-            lines.append(f"  {ids[p.parent()]} -> {node};")
-    for fan in model.closed_points().fans:
-        fan_id = _quoted("fan:" + _node_id(fan.base))
+        for label in labels:
+            ids.append(node + "." + label.replace("\\", "\\\\").replace(".", "\\."))
+            edges.append(f"  {_quoted(node)} -> {_quoted(ids[-1])};")
+    lines += edges
+    for fan, node in zip(model.closed_points().fans, ids):
+        fan_id = _quoted("fan:" + node)
         lines.append(
             f"  {fan_id} [label={_quoted(str(fan))}, shape=triangle, style=dashed];"
         )
-        lines.append(f"  {ids[fan.base]} -> {fan_id} [style=dashed];")
+        lines.append(f"  {_quoted(node)} -> {fan_id} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .ideals import BasePointSet, CompleteIdeal
-from .points import CofiniteFan, OrderValuation, Point, SymbolicPointSet, sorted_points
+from .points import CofiniteFan, OrderValuation, Point, SymbolicPointSet, _is_int, sorted_points
 
 if TYPE_CHECKING:
     from .intersections import Classification, IntersectionDescriptor
@@ -46,12 +46,6 @@ SCHEMA = "qtree/1"
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
-
-
-def _is_int(value: Any) -> bool:
-    """A JSON integer; ``true`` and ``false`` decode to bools, which Python
-    counts as ints, and are rejected."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def loads(raw: str) -> Any:

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from qtree.cli import main
+from qtree.cli import build_parser, main
 
 Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
 EX111_MODEL = '{"base":[{"path":[]},{"path":["X"]},{"path":["Y"]}]}'
@@ -644,66 +645,100 @@ def test_help_is_unchanged(capsys, monkeypatch, verb):
         assert run_exit(capsys, monkeypatch, verb, "x", "-h") == (0, HELP[verb], "")
 
 
-@pytest.mark.parametrize(
-    "argv, err",
-    [
-        ((), TOP_USAGE + "qtree: error: the following arguments are required: verb\n"),
-        (
-            ("nope",),
-            TOP_USAGE + "qtree: error: argument verb: invalid choice: 'nope' (choose from "
-            "'saturate', 'base-points', 'rees', 'closed-points', 'desingularize', 'join', "
-            "'minimal-model', 'min-incomparable', 'classify', 'factorize', 'closure', "
-            "'transform', 'point-of-valuation', 'generators', 'emit-dot')\n",
-        ),
-        (
-            ("--pretty", "nope"),
-            TOP_USAGE + "qtree: error: argument verb: invalid choice: 'nope' (choose from "
-            "'saturate', 'base-points', 'rees', 'closed-points', 'desingularize', 'join', "
-            "'minimal-model', 'min-incomparable', 'classify', 'factorize', 'closure', "
-            "'transform', 'point-of-valuation', 'generators', 'emit-dot')\n",
-        ),
-        (
-            ("saturate", "{}", "--bogus"),
-            TOP_USAGE + "qtree: error: unrecognized arguments: --bogus\n",
-        ),
-        (
-            ("saturate",),
-            "usage: qtree saturate [-h] [--pretty] [--generators] input\n"
-            "qtree saturate: error: the following arguments are required: input\n",
-        ),
-        (
-            ("--pretty", "saturate"),
-            "usage: qtree saturate [-h] [--pretty] [--generators] input\n"
-            "qtree saturate: error: the following arguments are required: input\n",
-        ),
-        (
-            ("transform", "x"),
-            "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
-            "qtree transform: error: the following arguments are required: --dir\n",
-        ),
-        (
-            ("transform", "x", "--dir", "Z"),
-            "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
-            "qtree transform: error: argument --dir: invalid choice: 'Z' (choose from 'X', 'Y')\n",
-        ),
-        (
-            ("closed-points", "x", "--truncate", "abc"),
-            "usage: qtree closed-points [-h] [--pretty] [--truncate L] input\n"
-            "qtree closed-points: error: argument --truncate: invalid int value: 'abc'\n",
-        ),
-    ],
-    ids=["no-verb", "unknown-verb", "unknown-verb-after-a-flag", "unknown-flag", "no-input", "no-input-after-a-flag", "no-dir", "bad-dir", "bad-level"],
-)
+# the lines that end in a usage error, keyed by test id
+USAGE_ERRORS = {
+    "no-verb": ((), TOP_USAGE + "qtree: error: the following arguments are required: verb\n"),
+    "unknown-verb": (
+        ("nope",),
+        TOP_USAGE + "qtree: error: argument verb: invalid choice: 'nope' (choose from "
+        "'saturate', 'base-points', 'rees', 'closed-points', 'desingularize', 'join', "
+        "'minimal-model', 'min-incomparable', 'classify', 'factorize', 'closure', "
+        "'transform', 'point-of-valuation', 'generators', 'emit-dot')\n",
+    ),
+    "unknown-verb-after-a-flag": (
+        ("--pretty", "nope"),
+        TOP_USAGE + "qtree: error: argument verb: invalid choice: 'nope' (choose from "
+        "'saturate', 'base-points', 'rees', 'closed-points', 'desingularize', 'join', "
+        "'minimal-model', 'min-incomparable', 'classify', 'factorize', 'closure', "
+        "'transform', 'point-of-valuation', 'generators', 'emit-dot')\n",
+    ),
+    "unknown-flag": (
+        ("saturate", "{}", "--bogus"),
+        TOP_USAGE + "qtree: error: unrecognized arguments: --bogus\n",
+    ),
+    "no-input": (
+        ("saturate",),
+        "usage: qtree saturate [-h] [--pretty] [--generators] input\n"
+        "qtree saturate: error: the following arguments are required: input\n",
+    ),
+    "no-input-after-a-flag": (
+        ("--pretty", "saturate"),
+        "usage: qtree saturate [-h] [--pretty] [--generators] input\n"
+        "qtree saturate: error: the following arguments are required: input\n",
+    ),
+    "no-dir": (
+        ("transform", "x"),
+        "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
+        "qtree transform: error: the following arguments are required: --dir\n",
+    ),
+    "bad-dir": (
+        ("transform", "x", "--dir", "Z"),
+        "usage: qtree transform [-h] [--pretty] --dir {X,Y} input\n"
+        "qtree transform: error: argument --dir: invalid choice: 'Z' (choose from 'X', 'Y')\n",
+    ),
+    "bad-level": (
+        ("closed-points", "x", "--truncate", "abc"),
+        "usage: qtree closed-points [-h] [--pretty] [--truncate L] input\n"
+        "qtree closed-points: error: argument --truncate: invalid int value: 'abc'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, err", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
 def test_usage_errors_are_unchanged(capsys, monkeypatch, argv, err):
     assert run_exit(capsys, monkeypatch, *argv) == (2, "", err)
 
 
 def test_a_well_formed_call_builds_only_its_own_verb_parser(capsys, monkeypatch):
-    def no_full_parser():
-        raise AssertionError("the parsers of every verb were built")
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
 
-    monkeypatch.setattr("qtree.cli.build_parser", no_full_parser)
+    def recording_add_parser(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
     assert run(capsys, "saturate", Y_FACTOR, "--pretty") == (0, "D * Y\n", "")
+    assert added == ["saturate"]
+
+
+def parse_outcome(capsys, parser, argv):
+    """The namespace of ``argv``, or (exit code, stdout, stderr) when the
+    parser exits."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(verb, "-h") for verb in HELP if verb]
+    + [argv for argv, _ in USAGE_ERRORS.values() if argv and argv[0] in HELP]
+    + [
+        ("rees", "x", "y"),
+        ("saturate", "x", "--pretty=1"),
+        ("transform", "--dir", "Y", "x", "--pretty"),
+    ],
+    ids=" ".join,
+)
+def test_a_line_that_starts_with_a_verb_parses_as_with_every_verb(capsys, monkeypatch, argv):
+    # build_parser rests on this: the top-level parser hands the rest of a
+    # line to the subparser of its first word alone
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = parse_outcome(capsys, build_parser(argv), list(argv))
+    assert alone == parse_outcome(capsys, build_parser(), list(argv))
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,31 @@ def test_saturate():
     )
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CompleteIdeal(((P("X"), 1.5),)), "factor multiplicities must be integers"),
+        (lambda: CompleteIdeal.simple(P("X"), True), "factor multiplicities must be integers"),
+        (lambda: CompleteIdeal.of({P("X"): 2.0}), "factor multiplicities must be integers"),
+        (lambda: CompleteIdeal.simple(P("X"), 0), "factor multiplicities must be positive"),
+        (lambda: CompleteIdeal.simple(P("X")).power(1.5), "powers must be integers"),
+        (lambda: CompleteIdeal.unit().power(1.5), "powers must be integers"),
+        (lambda: CompleteIdeal.simple(P("X")).power(True), "powers must be integers"),
+        (
+            lambda: CompleteIdeal.simple(P("X")).power(0),
+            "only positive powers are meaningful here",
+        ),
+    ],
+    ids=["float-mult", "bool-mult", "integral-float-mult", "zero-mult", "float-power",
+         "float-power-of-unit", "bool-power", "zero-power"],
+)
+def test_multiplicities_and_powers_are_positive_integers(build, message):
+    # a float used to be kept, and printed as X^1.5
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_unit_is_rejected_outside_multiplication():
     unit = CompleteIdeal.unit()
     for op in ("base_points", "terminal_base_points", "rees_valuations",

@@ -50,6 +50,23 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             MonomialIdeal.from_text("x^2 + y")
 
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            (((1.5, 0), (0, 1)), "exponents must be integers"),
+            (((1, 0), (0, 2.9)), "exponents must be integers"),
+            (((1, 0), (0, 2.0)), "exponents must be integers"),
+            (((True, 0), (0, 1)), "exponents must be integers"),
+            (((1, 0), (0, -1)), "exponents must be non-negative"),
+        ],
+        ids=["float", "float-truncated", "integral-float", "bool", "negative"],
+    )
+    def test_exponents_are_non_negative_integers(self, gens, message):
+        # int() used to truncate: (1.5, 0) became x and (0, 2.9) became y^2
+        with pytest.raises(ValueError) as refused:
+            M(*gens)
+        assert str(refused.value) == message
+
     def test_order(self):
         assert M((1, 0), (0, 1)).order() == 1
         assert MonomialIdeal.from_text("x^2, x y, y^3").order() == 2
