@@ -2,8 +2,8 @@
 
 One subcommand per library operation; no command mutates state.  Input is a
 file path, inline JSON, or ``-`` for stdin.  Output is JSON tagged with
-``"schema": "qtree/1"`` by default, human-readable text with ``--pretty``,
-and DOT where a model is produced and ``--dot`` is given.
+``"schema": "qtree/1"`` by default, the value's own text form (its ``str``)
+with ``--pretty``, and DOT where a model is produced and ``--dot`` is given.
 
 Exit status: 0 on success, 1 on domain errors (the error class name is
 printed on stderr), 2 on parse errors.
@@ -11,7 +11,8 @@ printed on stderr), 2 on parse errors.
 This module only parses arguments, reads input, dispatches and maps errors
 to exit codes: every verb decodes its input, runs one library operation and
 emits the answer.  The JSON format, the schema tag included, belongs to
-``serialize``; a malformed input raises ``ValueError`` there or here.
+``serialize``, the DOT format to ``render`` and each text form to its
+value's ``__str__``; a malformed input raises ``ValueError`` there or here.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import serialize
 from .errors import OracleMismatch, QTreeError
-from .points import Point, SymbolicPointSet, sorted_points
+from .points import Point, SymbolicPointSet
 
 if TYPE_CHECKING:
-    from .intersections import Classification
     from .monomial import MonomialIdeal
     from .truncation import TruncatedTree
 
@@ -67,7 +67,7 @@ def _load_monomial(args) -> MonomialIdeal:
 
 
 def _emit(args, value, to_json: Callable[[Any], dict], pretty: Callable[[Any], str] = str) -> str:
-    """``value`` as text under ``--pretty``, else as tagged JSON."""
+    """``value`` as its own text under ``--pretty``, else as tagged JSON."""
     return pretty(value) if args.pretty else serialize.dumps(to_json(value))
 
 
@@ -76,44 +76,12 @@ def _emit_model(args, model) -> str:
         from .render import model_to_dot
 
         return model_to_dot(model)
-    return _emit(args, model, serialize.model_to_json, _pretty_model)
-
-
-def _pretty_model(model) -> str:
-    base = model.base
-    terminal = ", ".join(str(p) for p in base.terminals())
-    return f"base: {base}\nterminal: {{{terminal}}}"
+    return _emit(args, model, serialize.model_to_json)
 
 
 def _pretty_valuations(valuations) -> str:
-    return ", ".join(f"ord({c})" for c in sorted_points(v.center for v in valuations))
-
-
-def _pretty_classification(classification: Classification) -> str:
-    c = serialize.classification_to_json(classification)
-    lines = []
-    for key in (
-        "noetherian",
-        "maximalIdealCount",
-        "irredundant",
-        "essential",
-        "ringPoint",
-        "singularity",
-    ):
-        value = c[key]
-        if key == "ringPoint" and value is not None:
-            value = str(Point(tuple(value["path"])))
-        if value is None:
-            continue
-        lines.append(f"{key}: {value}")
-        basis = c.get(key + "Basis")
-        if basis:
-            lines.append(f"  ({basis})")
-    return "\n".join(lines)
-
-
-def _to_text(ideal: MonomialIdeal) -> str:
-    return ideal.to_text()
+    # a frozenset, so put in canonical order by center first
+    return ", ".join(map(str, sorted(valuations, key=lambda v: v.center.sort_key())))
 
 
 def _cross_check(
@@ -195,7 +163,7 @@ def _cmd_classify(args) -> str:
     henselian = args.henselian or None
     descriptor = _load(args, lambda obj: serialize.descriptor_from_json(obj, henselian))
     result = classify(descriptor)
-    return _emit(args, result, serialize.classification_to_json, _pretty_classification)
+    return _emit(args, result, serialize.classification_to_json)
 
 
 def _cmd_factorize(args) -> str:
@@ -206,12 +174,12 @@ def _cmd_factorize(args) -> str:
 
 def _cmd_closure(args) -> str:
     closed = _load_monomial(args).integral_closure()
-    return _emit(args, closed, serialize.monomial_to_json, _to_text)
+    return _emit(args, closed, serialize.monomial_to_json)
 
 
 def _cmd_transform(args) -> str:
     transformed = _load_monomial(args).quadratic_transform(args.dir)
-    return _emit(args, transformed, serialize.monomial_to_json, _to_text)
+    return _emit(args, transformed, serialize.monomial_to_json)
 
 
 def _cmd_point_of_valuation(args) -> str:
@@ -225,7 +193,7 @@ def _cmd_generators(args) -> str:
     from .monomial import generators_for_ideal
 
     ideal = _load(args, serialize.ideal_from_json)
-    return _emit(args, generators_for_ideal(ideal), serialize.monomial_to_json, _to_text)
+    return _emit(args, generators_for_ideal(ideal), serialize.monomial_to_json)
 
 
 def _cmd_emit_dot(args) -> str:

@@ -30,7 +30,7 @@ class Verdict(str, Enum):
     NO = "NO"
     UNKNOWN = "UNKNOWN"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -113,6 +113,22 @@ class Classification(FrozenValue):
         object.__setattr__(self, "essential_basis", essential_basis)
         object.__setattr__(self, "ring_point", ring_point)
         object.__setattr__(self, "singularity", singularity)
+
+    def __str__(self) -> str:
+        """One line per verdict, its basis beneath it in parentheses, then
+        the ring point and the named singularity when they are set."""
+        verdicts = (
+            ("noetherian", "YES" if self.noetherian else "NO", self.noetherian_basis),
+            ("maximalIdealCount", self.maximal_ideal_count, self.count_basis),
+            ("irredundant", self.irredundant, self.irredundant_basis),
+            ("essential", self.essential, self.essential_basis),
+        )
+        lines = [f"{key}: {value}\n  ({basis})" for key, value, basis in verdicts]
+        if self.ring_point is not None:
+            lines.append(f"ringPoint: {self.ring_point}")
+        if self.singularity is not None:
+            lines.append(f"singularity: {self.singularity}")
+        return "\n".join(lines)
 
 
 def _single_fan(subset: SymbolicPointSet):
@@ -261,14 +277,18 @@ def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
     that large, so it provably does not; neither do proper subsets over a
     Henselian base, or inside the first neighborhood of the root.  Other
     cases are left undecided.
+
+    The subset is the full closed-point set iff it has no singles and its
+    fans are the model's, one per base point in canonical order, each
+    excluding the labels of the base points directly above.
     """
-    closed = d.model.closed_points()
     subset = d.subset
-    if subset == closed:
+    fans = [(fan.base, fan.excluded) for fan in subset.fans]
+    if not subset.singles and fans == list(d.model.base.labels_above()):
         return Verdict.YES
     if not _common_floor(subset).is_root:
         return Verdict.NO
-    if d.henselian and subset.is_subset(closed):
+    if d.henselian and subset.is_subset(d.model.closed_points()):
         return Verdict.NO
     root_fan = SymbolicPointSet.fan(ROOT)
     if subset.is_subset(root_fan) and subset != root_fan:

@@ -58,7 +58,10 @@ class NonsingularModel(FrozenValue):
         return CompleteIdeal.saturated(self.base)
 
     def __str__(self) -> str:
-        return f"model{self.base}"
+        """The base points, then the terminal ones: ``base: {D, Y}`` over
+        ``terminal: {Y}``."""
+        terminal = ", ".join(map(str, self.base.terminals()))
+        return f"base: {self.base}\nterminal: {{{terminal}}}"
 
 
 def model_from_ideal(ideal: CompleteIdeal) -> NonsingularModel:

@@ -199,6 +199,8 @@ class MonomialIdeal(FrozenValue):
 
         return ", ".join(term(a, b) for a, b in reversed(self.gens))
 
+    __str__ = to_text
+
     _TERM_RE = re.compile(r"^(?:x(?:\^(\d+))?)?(?:y(?:\^(\d+))?)?$")
 
     @classmethod
@@ -216,9 +218,6 @@ class MonomialIdeal(FrozenValue):
             b = int(m.group(2)) if m.group(2) else (1 if "y" in term else 0)
             gens.append((a, b))
         return cls(tuple(gens))
-
-    def __str__(self) -> str:
-        return f"({self.to_text()})"
 
 
 class NewtonEdge(FrozenValue):
@@ -295,13 +294,14 @@ class MonomialValuation(FrozenValue):
     _fields = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
+        # checked before math.gcd, which takes a bool and refuses a float
+        if not (_is_int(p) and _is_int(q)):
+            raise ValueError("weights must be integers")
+        if p < 1 or q < 1 or math.gcd(p, q) != 1:
             raise NotCoprime("weights must be coprime positive integers")
+        fields = self.__dict__
+        fields["p"] = p
+        fields["q"] = q
 
     def value(self, a: int, b: int) -> int:
         return self.p * a + self.q * b

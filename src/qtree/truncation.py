@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .points import ROOT, FrozenValue, Point, SymbolicPointSet, X_DIR, Y_DIR, label_key
+from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR, label_key
 
 DEFAULT_ALPHABET = (X_DIR, Y_DIR, "t1", "t2")
 
@@ -43,10 +43,6 @@ class TruncatedTree(FrozenValue):
             level = [p.child(label) for p in level for label in labels]
             pts.extend(level)
         return tuple(pts)
-
-    def members(self, sset: SymbolicPointSet) -> frozenset[Point]:
-        """Brute-force membership of a symbolic set within the truncation."""
-        return frozenset(p for p in self.points if p in sset)
 
     def minimal_incomparable(self, targets: Iterable[Point]) -> frozenset[Point]:
         """Points of the truncation incomparable to every target, with no

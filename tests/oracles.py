@@ -16,7 +16,7 @@ import random
 from typing import Iterable, Iterator
 
 from qtree import truncation
-from qtree.points import ROOT, Point, sorted_points
+from qtree.points import ROOT, Point, SymbolicPointSet, sorted_points
 
 Pair = tuple[int, int]
 
@@ -400,6 +400,10 @@ def seeded_rng(default: int = 20240) -> random.Random:
 
 class TruncatedTree(truncation.TruncatedTree):
     """The library's truncation, plus exhaustive and random enumerations."""
+
+    def members(self, sset: SymbolicPointSet) -> frozenset[Point]:
+        """Brute-force membership of a symbolic set within the truncation."""
+        return frozenset(p for p in self.points if p in sset)
 
     def downward_closed_sets(
         self, max_size: int, max_level: int | None = None

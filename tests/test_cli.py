@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qtree import ROOT, SymbolicPointSet
 from qtree.cli import build_parser, main
 
 Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
@@ -400,6 +401,36 @@ def test_truncate_level_out_of_range_is_refused_before_any_work(capsys, verb, le
 def test_truncate_level_range_ends_are_accepted(capsys, verb, payload):
     assert run(capsys, verb, payload, "--truncate", "1")[0] == 0
     assert run(capsys, verb, payload, "--truncate", "0")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "verb, payload, target, wrong",
+    [
+        # the root's full fan holds the base points X and Y
+        (
+            "closed-points",
+            EX111_MODEL,
+            "qtree.models.NonsingularModel.closed_points",
+            lambda model: SymbolicPointSet.fan(ROOT),
+        ),
+        # the target X itself is not incomparable to X
+        (
+            "min-incomparable",
+            '{"points":[{"path":["X"]}]}',
+            "qtree.models.minimal_incomparable_set",
+            SymbolicPointSet.of_points,
+        ),
+    ],
+    ids=["closed-points", "min-incomparable"],
+)
+def test_a_wrong_symbolic_answer_fails_the_cross_check(
+    capsys, monkeypatch, verb, payload, target, wrong
+):
+    monkeypatch.setattr(target, wrong)
+    code, out, err = run(capsys, verb, payload, "--truncate", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("OracleMismatch: symbolic membership of ")
+    assert err.endswith(" disagrees with the brute-force oracle at level cap 2\n")
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,9 @@ ANTICHAIN = '{"points":[{"path":["X","Y"]},{"path":["Y","X"]}]}'
 ONE_POINT = '{"points":[{"path":["X"]}]}'
 EX111_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["X"]},{"path":["Y"]}]},"subset":{"singles":[{"path":["X","Y"]},{"path":["Y","X"]}],"cofinite":[]},"henselian":false}'
 FAN_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["Y"]}]},"subset":{"singles":[],"cofinite":[{"base":{"path":[]},"excluded":["Y"]},{"base":{"path":["Y"]},"excluded":[]}]}}'
+ROOT_FAN_DESCRIPTOR = '{"model":{"base":[{"path":[]}]},"subset":{"cofinite":[{"base":{"path":[]}}]}}'
+DOUBLE_POINT_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["Y"]}]},"subset":{"singles":[{"path":["Y","X"]}],"cofinite":[{"base":{"path":[]},"excluded":["Y"]}]}}'
+COMPARABLE_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["X"]}]},"subset":{"singles":[{"path":["X","Y"]}],"cofinite":[{"base":{"path":[]}}]}}'
 GENS = 'x^4, x^2 y, x y^2, y^4'
 VALUATION = '{"p":1,"q":2}'
 
@@ -75,3 +78,20 @@ def test_stdout_is_byte_identical(capsys, argv, code, stdout):
     out = capsys.readouterr()
     assert out.out == stdout
     assert out.err == ""
+
+
+# a ring point, a named singularity and an irredundant NO: the --pretty lines
+# that no case above prints, each with its JSON
+OPTIONAL_LINES = {
+    "ring point": (("classify", ROOT_FAN_DESCRIPTOR), 0, '{"essential": "NO", "essentialBasis": "a full first neighborhood intersects to the point beneath it, and no member is a localization of that local ring", "irredundant": "YES", "irredundantBasis": "the full first neighborhood of the root represents the root ring irredundantly", "maximalIdealCount": "INFINITE", "maximalIdealCountBasis": "a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite", "noetherian": "YES", "noetherianBasis": "an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2", "ringPoint": {"path": []}, "schema": "qtree/1", "singularity": null}\n'),
+    "ring point --pretty": (("classify", ROOT_FAN_DESCRIPTOR, "--pretty"), 0, 'noetherian: YES\n  (an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2)\nmaximalIdealCount: INFINITE\n  (a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite)\nirredundant: YES\n  (the full first neighborhood of the root represents the root ring irredundantly)\nessential: NO\n  (a full first neighborhood intersects to the point beneath it, and no member is a localization of that local ring)\nringPoint: D\n'),
+    "singularity": (("classify", DOUBLE_POINT_DESCRIPTOR), 0, '{"essential": "UNKNOWN", "essentialBasis": "essentiality of mixed infinite families is outside the implemented criteria", "irredundant": "UNKNOWN", "irredundantBasis": "irredundance of general infinite families over a non-Henselian base is outside the implemented criteria", "maximalIdealCount": "INFINITE", "maximalIdealCountBasis": "a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite", "noetherian": "YES", "noetherianBasis": "an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2", "ringPoint": null, "schema": "qtree/1", "singularity": "ordinary double point"}\n'),
+    "singularity --pretty": (("classify", DOUBLE_POINT_DESCRIPTOR, "--pretty"), 0, 'noetherian: YES\n  (an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2)\nmaximalIdealCount: INFINITE\n  (a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite)\nirredundant: UNKNOWN\n  (irredundance of general infinite families over a non-Henselian base is outside the implemented criteria)\nessential: UNKNOWN\n  (essentiality of mixed infinite families is outside the implemented criteria)\nsingularity: ordinary double point\n'),
+    "irredundant NO": (("classify", COMPARABLE_DESCRIPTOR), 0, '{"essential": "UNKNOWN", "essentialBasis": "essentiality of mixed infinite families is outside the implemented criteria", "irredundant": "NO", "irredundantBasis": "the subset has comparable members; every non-minimal member contains a minimal one and can be dropped without changing the intersection", "maximalIdealCount": "INFINITE", "maximalIdealCountBasis": "a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite", "noetherian": "YES", "noetherianBasis": "an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2", "ringPoint": null, "schema": "qtree/1", "singularity": null}\n'),
+    "irredundant NO --pretty": (("classify", COMPARABLE_DESCRIPTOR, "--pretty"), 0, 'noetherian: YES\n  (an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2)\nmaximalIdealCount: INFINITE\n  (a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite)\nirredundant: NO\n  (the subset has comparable members; every non-minimal member contains a minimal one and can be dropped without changing the intersection)\nessential: UNKNOWN\n  (essentiality of mixed infinite families is outside the implemented criteria)\n'),
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout", list(OPTIONAL_LINES.values()), ids=list(OPTIONAL_LINES))
+def test_optional_lines_are_byte_identical(capsys, argv, code, stdout):
+    test_stdout_is_byte_identical(capsys, argv, code, stdout)

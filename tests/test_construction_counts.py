@@ -23,8 +23,10 @@ from qtree import (
     Point,
     SymbolicPointSet,
     TruncatedTree,
+    Verdict,
     base_points,
     classify,
+    is_complete_representation,
     minimal_desingularization,
     minimal_incomparable_set,
     represents_same_ring,
@@ -151,6 +153,16 @@ def test_is_antichain_builds_no_set_or_fan(built, make, antichain):
     built[SymbolicPointSet].clear()
     built[CofiniteFan].clear()
     assert s.is_antichain() is antichain
+    assert built == {SymbolicPointSet: [], CofiniteFan: []}
+
+
+def test_complete_representation_builds_no_set_or_fan(built):
+    # the full closed-point set is recognised from the model's base index
+    model = _model()
+    d = IntersectionDescriptor(model, model.closed_points())
+    built[SymbolicPointSet].clear()
+    built[CofiniteFan].clear()
+    assert is_complete_representation(d) is Verdict.YES
     assert built == {SymbolicPointSet: [], CofiniteFan: []}
 
 

@@ -115,6 +115,31 @@ class TestClassify:
         other = IntersectionDescriptor(DOUBLE_POINT_MODEL, fan(ROOT, "Y"))
         assert classify(other).singularity is None
 
+    def test_text_form_gives_each_verdict_its_basis(self):
+        c = classify(IntersectionDescriptor(BLOWUP, fan(ROOT)))
+        assert str(c) == "\n".join(
+            [
+                "noetherian: YES",
+                f"  ({c.noetherian_basis})",
+                "maximalIdealCount: INFINITE",
+                f"  ({c.count_basis})",
+                "irredundant: YES",
+                f"  ({c.irredundant_basis})",
+                "essential: NO",
+                f"  ({c.essential_basis})",
+                "ringPoint: D",
+            ]
+        )
+        subset = fan(ROOT, "Y").union(singles(P("Y", "X")))
+        named = classify(IntersectionDescriptor(DOUBLE_POINT_MODEL, subset))
+        assert str(named).endswith(
+            f"essential: UNKNOWN\n  ({named.essential_basis})\nsingularity: ordinary double point"
+        )
+        # a ring point and a singularity are printed only when set
+        finite = str(classify(IntersectionDescriptor(EX_MODEL, singles(P("X", "Y")))))
+        assert len(finite.splitlines()) == 8
+        assert "ringPoint" not in finite and "singularity" not in finite
+
     def test_finite_antichains_of_every_size_up_to_five(self):
         # exhaustive over the level-2 truncation
         small = TruncatedTree(max_level=2)

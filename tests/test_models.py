@@ -72,6 +72,12 @@ def test_closed_points():
     assert P("X", "Y") in closed and P("Y", "X") in closed
 
 
+def test_text_form_lists_base_then_terminal_points():
+    model = model_of(ROOT, P("X"), P("Y"), P("Y", "t1"))
+    assert str(model) == "base: {D, X, Y, Y.t1}\nterminal: {X, Y.t1}"
+    assert str(model_of(ROOT)) == "base: {D}\nterminal: {D}"
+
+
 def test_contains_point():
     assert model_of(ROOT).contains_point(P("X"))
     # base points never lie on the model they define

@@ -67,6 +67,14 @@ class TestMonomialIdeal:
             M(*gens)
         assert str(refused.value) == message
 
+    def test_needs_a_generator(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            MonomialIdeal(())
+
+    def test_text_form_is_the_generator_text(self):
+        assert str(MonomialIdeal.from_text("x^2, x y, y^3")) == "x^2, x y, y^3"
+        assert str(MonomialIdeal.unit()) == "1"
+
     def test_order(self):
         assert M((1, 0), (0, 1)).order() == 1
         assert MonomialIdeal.from_text("x^2, x y, y^3").order() == 2
@@ -332,6 +340,11 @@ class TestBasePoints:
     def test_takes_closure_first(self):
         assert base_points(M((2, 0), (0, 2))).points == {ROOT}
 
+    @pytest.mark.parametrize("gens", [((1, 0),), ((1, 1), (0, 2)), ((0, 0),)])
+    def test_requires_m_primary(self, gens):
+        with pytest.raises(NotMPrimary):
+            base_points(M(*gens))
+
     # pure powers of at least 30 leave room under the diagonal, so about
     # half the draws have several edges: branching sets whose chains reach
     # far past the level-4 sets that the acceptance suite enumerates
@@ -433,6 +446,20 @@ class TestEuclidCorrespondence:
             MonomialValuation(2, 4)
         with pytest.raises(NotCoprime):
             MonomialValuation(0, 1)
+        with pytest.raises(NotCoprime):
+            MonomialValuation(3, -1)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(True, 1), (True, 2), (1, True), (1.5, 2), (2, 1.0), ("1", 2)],
+        ids=["bool", "bool-naming-X", "bool-second", "float", "integral-float", "str"],
+    )
+    def test_rejects_non_integer_weights(self, weights):
+        # a bool used to pass as an int, print as v(True,1) and, as (True, 2),
+        # name the point X; a float reached math.gcd and raised TypeError
+        with pytest.raises(ValueError) as refused:
+            MonomialValuation(*weights)
+        assert str(refused.value) == "weights must be integers"
 
     def test_rejects_non_toric_points(self):
         with pytest.raises(NonToricPoint):

@@ -10,9 +10,9 @@ from qtree import (
     Point,
     RootHasNoParent,
     SymbolicPointSet,
-    TruncatedTree,
     sorted_points,
 )
+from oracles import TruncatedTree
 from qtree.points import label_key
 
 # "X1" sorts between "X" and "Y" as a plain string, but after both in
@@ -26,6 +26,12 @@ def test_parent():
     assert P("Y").parent() == ROOT
     with pytest.raises(RootHasNoParent):
         ROOT.parent()
+
+
+def test_last_label():
+    assert P("X", "Y").last_label == "Y"
+    with pytest.raises(RootHasNoParent):
+        ROOT.last_label
 
 
 def test_chain():
