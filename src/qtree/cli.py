@@ -12,7 +12,9 @@ This module only parses arguments, reads input, dispatches and maps errors
 to exit codes: every verb decodes its input, runs one library operation and
 emits the answer.  The JSON format, the schema tag included, belongs to
 ``serialize``, the DOT format to ``render`` and each text form to its
-value's ``__str__``; a malformed input raises ``ValueError`` there or here.
+value's ``__str__``.  A malformed input raises ``ValueError`` in
+``serialize`` or here, and a value its constructor refuses, in that
+constructor.
 """
 
 from __future__ import annotations

@@ -42,11 +42,19 @@ _NOETHERIAN_BASIS = (
 )
 
 
+def _henselian_flag(flag: object) -> bool:
+    """``flag`` as a descriptor's Henselian flag, which only a bool is."""
+    if not isinstance(flag, bool):
+        raise ValueError("henselian must be a boolean")
+    return flag
+
+
 class IntersectionDescriptor(FrozenValue):
     """A subset of the closed points of a nonsingular model.
 
-    Validity is checked atom by atom: every fan must be based at a base
-    point of the model, and every single must be a closed point of it.
+    The Henselian flag must be a bool.  Validity is checked atom by atom:
+    every fan must be based at a base point of the model, and every single
+    must be a closed point of it.
     """
 
     _fields = ("model", "subset", "henselian")
@@ -56,7 +64,7 @@ class IntersectionDescriptor(FrozenValue):
     ) -> None:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "henselian", henselian)
+        object.__setattr__(self, "henselian", _henselian_flag(henselian))
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -66,13 +66,12 @@ class NonsingularModel(FrozenValue):
 
 def model_from_ideal(ideal: CompleteIdeal) -> NonsingularModel:
     """The blowup of a saturated complete ideal."""
-    if ideal.is_unit:
-        raise UnitIdeal("the unit ideal defines no projective model")
+    model = minimal_desingularization(ideal)
     if not ideal.is_saturated():
         raise NotSaturated(
             "the blowup of an unsaturated ideal is singular; saturate first"
         )
-    return NonsingularModel(ideal.base_points())
+    return model
 
 
 def minimal_desingularization(ideal: CompleteIdeal) -> NonsingularModel:

@@ -38,6 +38,8 @@ def label_key(label: str) -> tuple[int, str]:
 
 
 _BAD_LABEL = "direction labels must be nonempty strings"
+# a string is a sequence too, but of one-letter labels nobody meant
+_BARE_STRING = "labels come as a sequence of strings, not as one string"
 
 
 def _is_int(value: object) -> bool:
@@ -117,6 +119,8 @@ class Point(FrozenValue):
     def __post_init__(self) -> None:
         path = self.path
         if not isinstance(path, tuple):
+            if isinstance(path, str):
+                raise ValueError(_BARE_STRING)
             path = tuple(path)
             _set_path(self, path)
         # checked here, not through _check_labels: points are made often
@@ -302,7 +306,9 @@ class CofiniteFan(FrozenValue):
 
     _fields = ("base", "excluded")
 
-    def __init__(self, base: Point, excluded: tuple[str, ...] = ()) -> None:
+    def __init__(self, base: Point, excluded: Iterable[str] = ()) -> None:
+        if isinstance(excluded, str):
+            raise ValueError(_BARE_STRING)
         excluded = tuple(excluded)
         _check_labels(excluded)
         if len(excluded) > 1:
@@ -407,7 +413,7 @@ class SymbolicPointSet(FrozenValue):
 
     @classmethod
     def fan(cls, base: Point, excluded: Iterable[str] = ()) -> "SymbolicPointSet":
-        return cls(fans=(CofiniteFan(base, tuple(excluded)),))
+        return cls(fans=(CofiniteFan(base, excluded),))
 
     @cached_property
     def _single_set(self) -> frozenset[Point]:
@@ -455,13 +461,9 @@ class SymbolicPointSet(FrozenValue):
         levels = {len(path) for path in by_parent}
         singles = tuple(p for p in self.singles if p not in removed)
         # a fan over a base that no removed point lies above stays as it is;
-        # no single lies above a fan base, so the parts stay canonical, and
-        # the labels a fan gains come from points, which checked them
+        # no single lies above a fan base, so the parts stay canonical
         fans = tuple(
-            _trusted_fan(
-                fan.base,
-                tuple(sorted({*fan.excluded, *by_parent[fan.base.path]}, key=label_key)),
-            )
+            CofiniteFan(fan.base, (*fan.excluded, *by_parent[fan.base.path]))
             if fan.base.level in levels and fan.base.path in by_parent
             else fan
             for fan in self.fans

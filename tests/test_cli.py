@@ -331,6 +331,47 @@ def test_empty_excluded_label_is_a_parse_error(capsys):
     assert run(capsys, "minimal-model", '{"points":[{"path":[""]}]}') == (2, "", error)
 
 
+ROOT_X_MODEL = {"base": [{"path": []}, {"path": ["X"]}]}
+
+
+def _descriptor(excluded=("X",), **extra):
+    fan = {"base": {"path": []}, "excluded": list(excluded)}
+    return json.dumps({"model": ROOT_X_MODEL, "subset": {"cofinite": [fan]}, **extra})
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("base-points", '{"factors":[{"point":{"path":[1]},"mult":1}]}'),
+         "direction labels must be nonempty strings"),
+        (("classify", _descriptor(excluded=[3])), "direction labels must be nonempty strings"),
+        (("saturate", '{"factors":[{"point":{"path":["Y"]},"mult":0}]}'),
+         "factor multiplicities must be positive"),
+        (("saturate", '{"factors":[{"point":{"path":["Y"]},"mult":1.5}]}'),
+         "factor multiplicities must be integers"),
+        (("closure", '{"gens":[]}'), "a monomial ideal needs at least one generator"),
+        (("closure", '{"gens":[[-1,0],[0,1]]}'), "exponents must be non-negative"),
+        (("closure", '{"gens":[[1.5,0],[0,1]]}'), "exponents must be integers"),
+        (("point-of-valuation", '{"p":2}'), "weights must be integers"),
+        (("point-of-valuation", '{"p":true,"q":3}'), "weights must be integers"),
+        (("classify", _descriptor(henselian="no")), "henselian must be a boolean"),
+        (("classify", _descriptor(henselian="no"), "--henselian"), "henselian must be a boolean"),
+        # the model is a domain error too, but the flag is read first
+        (("classify", json.dumps({"model": {"base": [{"path": ["X"]}]},
+                                  "subset": {"singles": [{"path": ["X", "Y"]}]},
+                                  "henselian": "no"})),
+         "henselian must be a boolean"),
+    ],
+    ids=["path label", "excluded label", "zero mult", "float mult", "no generator",
+         "negative exponent", "float exponent", "missing weight", "bool weight",
+         "henselian string", "henselian string --henselian", "henselian before model"],
+)
+def test_a_value_its_constructor_refuses_is_a_parse_error(capsys, argv, message):
+    # serialize checks only the JSON shape; the value's constructor words
+    # the refusal
+    assert run(capsys, *argv) == (2, "", f"ParseError: {message}\n")
+
+
 @pytest.mark.parametrize(
     "verb, payload",
     [

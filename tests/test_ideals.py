@@ -152,6 +152,10 @@ def test_multiplicities_and_powers_are_positive_integers(build, message):
     assert str(refused.value) == message
 
 
+def test_unit_text_form():
+    assert str(CompleteIdeal.unit()) == "(1)"
+
+
 def test_unit_is_rejected_outside_multiplication():
     unit = CompleteIdeal.unit()
     for op in ("base_points", "terminal_base_points", "rees_valuations",

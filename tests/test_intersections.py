@@ -57,6 +57,17 @@ class TestDescriptorValidation:
         with pytest.raises(InvalidDescriptor):
             IntersectionDescriptor(BLOWUP, SymbolicPointSet.empty())
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_rejects_a_henselian_flag_that_is_not_a_bool(self, flag):
+        # "no" is truthy, and was judged by the Henselian rule
+        with pytest.raises(ValueError, match="^henselian must be a boolean$"):
+            IntersectionDescriptor(EX_MODEL, singles(P("X", "Y")), henselian=flag)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_accepts_a_bool_henselian_flag(self, flag):
+        d = IntersectionDescriptor(EX_MODEL, singles(P("X", "Y")), henselian=flag)
+        assert d.henselian is flag
+
 
 class TestClassify:
     def test_two_incomparable_second_level_points(self):

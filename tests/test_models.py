@@ -43,10 +43,16 @@ def test_model_from_ideal():
     assert model_from_ideal(CompleteIdeal.simple(ROOT)) == model_of(ROOT)
     two = CompleteIdeal.of([ROOT, P("Y")])
     assert model_from_ideal(two) == model_of(ROOT, P("Y"))
-    with pytest.raises(NotSaturated):
+    with pytest.raises(NotSaturated, match="unsaturated ideal is singular"):
         model_from_ideal(CompleteIdeal.simple(P("Y")))
-    with pytest.raises(UnitIdeal):
+    with pytest.raises(UnitIdeal, match="the unit ideal defines no projective model"):
         model_from_ideal(CompleteIdeal.unit())
+
+
+def test_minimal_desingularization_refuses_the_unit_ideal():
+    # the one refusal model_from_ideal reaches through it
+    with pytest.raises(UnitIdeal, match="^the unit ideal defines no projective model$"):
+        minimal_desingularization(CompleteIdeal.unit())
 
 
 def test_minimal_desingularization():

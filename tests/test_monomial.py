@@ -461,6 +461,9 @@ class TestEuclidCorrespondence:
             MonomialValuation(*weights)
         assert str(refused.value) == "weights must be integers"
 
+    def test_text_form(self):
+        assert str(MonomialValuation(2, 3)) == "v(2,3)"
+
     def test_rejects_non_toric_points(self):
         with pytest.raises(NonToricPoint):
             valuation_for_point(P("t1"))

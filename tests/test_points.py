@@ -79,6 +79,22 @@ def test_constructors_check_and_normalize_their_input():
     assert CofiniteFan(ROOT, iter(["t2", "Y"])).excluded == ("Y", "t2")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Point("t1"),
+        lambda: CofiniteFan(ROOT, "t1"),
+        lambda: SymbolicPointSet.fan(ROOT, "XY"),
+    ],
+    ids=["point", "fan", "set of a fan"],
+)
+def test_a_bare_string_is_not_a_label_sequence(make):
+    # it was split into one-letter labels: the point t.1, the fan
+    # Q1(D) - {1, t}, and a fan excluding both X and Y
+    with pytest.raises(ValueError, match="^labels come as a sequence of strings, not as one string$"):
+        make()
+
+
 # "A" sorts before "X" as a plain string and "X1" between "X" and "Y", but
 # both after "Y" in canonical label order
 order_labels = st.sampled_from(["X", "Y", "A", "X1", "t1"])

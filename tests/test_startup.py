@@ -110,6 +110,18 @@ def test_import_qtree_loads_no_submodule_until_a_name_is_used():
     assert "'qtree.monomial'" in after and "'qtree.models'" not in after
 
 
+def test_dir_lists_every_name_and_loads_no_submodule():
+    proc = python(
+        "import sys, qtree\n"
+        "print(' '.join(dir(qtree)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qtree')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    names, modules = proc.stdout.splitlines()
+    assert set(qtree.__all__) | {"cli", "render", "serialize"} <= set(names.split())
+    assert modules == "['qtree']"
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from qtree import *", namespace)
