@@ -19,8 +19,8 @@ constructor.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import serialize
@@ -28,6 +28,8 @@ from .errors import OracleMismatch, QTreeError
 from .points import Point, SymbolicPointSet
 
 if TYPE_CHECKING:
+    import argparse
+
     from .monomial import MonomialIdeal
     from .truncation import TruncatedTree
 
@@ -242,24 +244,25 @@ _OPTIONS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that words an invalid choice as 3.10-3.12 do, its
-    choices quoted, on every Python (later releases print them bare),
-    wherever on the line the choice stands."""
-
-    def _check_value(self, action: argparse.Action, value: Any) -> None:
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {value!r} (choose from {choices})"
-            )
-
-
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The parser of the command line ``argv``.  A verb in ``argv[0]`` gets
     the only subparser, since the top-level parser hands the rest of such a
     line to that verb's alone; any other line gets every verb's, so that
     help and errors list them all."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser that words an invalid choice as 3.10-3.12 do,
+        its choices quoted, on every Python (later releases print them
+        bare), wherever on the line the choice stands."""
+
+        def _check_value(self, action: argparse.Action, value: Any) -> None:
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise argparse.ArgumentError(
+                    action, f"invalid choice: {value!r} (choose from {choices})"
+                )
+
     parser = _Parser(
         prog="qtree",
         # as 3.10-3.12 wrap it at 80 columns, where 3.13 joins the last lines
@@ -279,9 +282,48 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser`` makes of a canonical line, else None:
+    a verb, one input (``-`` or a word not starting with ``-``), and
+    ``--pretty`` and the verb's option, each spelled out and at most once, in
+    any order, with a value not starting with ``-`` that passes the option's
+    ``type`` and ``choices``.  Any other line, help and usage errors among
+    them, is argparse's alone, which a canonical line never imports."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    option = _COMMANDS[argv[0]][2]
+    settings = _OPTIONS.get(option, {})
+    flag = settings.get("action") == "store_true"
+    args = {"verb": argv[0], "input": None, "pretty": False}
+    if option:
+        args[option[2:]] = False if flag else None
+    words = iter(argv[1:])
+    for word in words:
+        if word == "-" or not word.startswith("-"):
+            if args["input"] is not None:
+                return None
+            args["input"] = word
+        elif word not in ("--pretty", option) or argv.count(word) > 1:
+            return None
+        elif word == "--pretty" or flag:
+            args[word[2:]] = True
+        else:
+            raw = next(words, "-")
+            try:
+                value = settings.get("type", str)(raw)
+            except ValueError:
+                return None
+            if raw.startswith("-") or value not in settings.get("choices", (value,)):
+                return None
+            args[option[2:]] = value
+    if args["input"] is None or (settings.get("required") and args[option[2:]] is None):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_canonical(argv) or build_parser(argv).parse_args(argv)
     level = getattr(args, "truncate", None)
     try:
         # a level out of range is refused before any input is read

@@ -27,6 +27,7 @@ from .points import (
     Point,
     _common_prefix_length,
     _is_int,
+    _not_a_string,
     _point_above,
     label_key,
     sorted_points,
@@ -99,7 +100,7 @@ class BasePointSet(FrozenValue):
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "BasePointSet":
-        return cls(frozenset(points))
+        return cls(frozenset(_not_a_string(points)))
 
     @classmethod
     def downward_closure(cls, points: Iterable[Point]) -> "BasePointSet":
@@ -212,7 +213,7 @@ class CompleteIdeal(FrozenValue):
     def of(cls, factors: Mapping[Point, int] | Iterable[Point]) -> "CompleteIdeal":
         if isinstance(factors, Mapping):
             return cls(tuple(factors.items()))
-        return cls(tuple((p, 1) for p in factors))
+        return cls(tuple((p, 1) for p in _not_a_string(factors)))
 
     @property
     def is_unit(self) -> bool:

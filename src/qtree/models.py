@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import EmptyInput, NotAntichain, NotSaturated, RootNotAllowed, UnitIdeal
 from .ideals import BasePointSet, CompleteIdeal
-from .points import FrozenValue, Point, SymbolicPointSet, _trusted_fan
+from .points import FrozenValue, Point, SymbolicPointSet, _not_a_string, _trusted_fan
 
 
 class NonsingularModel(FrozenValue):
@@ -86,7 +86,7 @@ def minimal_desingularization(ideal: CompleteIdeal) -> NonsingularModel:
 
 
 def _validated_antichain(points: Iterable[Point]) -> tuple[Point, ...]:
-    pts = tuple(points)
+    pts = tuple(_not_a_string(points))
     if not pts:
         raise EmptyInput("at least one point is required")
     if any(p.is_root for p in pts):
@@ -115,5 +115,5 @@ def minimal_incomparable_set(points: Iterable[Point]) -> SymbolicPointSet:
     Computed as the closed points of the minimal model containing the given
     antichain, minus the antichain itself.
     """
-    pts = tuple(points)
+    pts = tuple(_not_a_string(points))
     return minimal_model_containing(pts).closed_points().minus(pts)

@@ -42,6 +42,13 @@ _BAD_LABEL = "direction labels must be nonempty strings"
 _BARE_STRING = "labels come as a sequence of strings, not as one string"
 
 
+def _not_a_string(values):
+    """``values``, refused when it is one string rather than a sequence."""
+    if isinstance(values, str):
+        raise ValueError(_BARE_STRING)
+    return values
+
+
 def _is_int(value: object) -> bool:
     """An integer: bools, which Python counts as ints (and JSON's ``true``
     and ``false`` decode to), are refused."""
@@ -119,9 +126,7 @@ class Point(FrozenValue):
     def __post_init__(self) -> None:
         path = self.path
         if not isinstance(path, tuple):
-            if isinstance(path, str):
-                raise ValueError(_BARE_STRING)
-            path = tuple(path)
+            path = tuple(_not_a_string(path))
             _set_path(self, path)
         # checked here, not through _check_labels: points are made often
         for label in path:
@@ -307,9 +312,7 @@ class CofiniteFan(FrozenValue):
     _fields = ("base", "excluded")
 
     def __init__(self, base: Point, excluded: Iterable[str] = ()) -> None:
-        if isinstance(excluded, str):
-            raise ValueError(_BARE_STRING)
-        excluded = tuple(excluded)
+        excluded = tuple(_not_a_string(excluded))
         _check_labels(excluded)
         if len(excluded) > 1:
             excluded = tuple(sorted(set(excluded), key=label_key))
@@ -409,7 +412,7 @@ class SymbolicPointSet(FrozenValue):
 
     @classmethod
     def of_points(cls, points: Iterable[Point]) -> "SymbolicPointSet":
-        return cls(singles=tuple(points))
+        return cls(singles=tuple(_not_a_string(points)))
 
     @classmethod
     def fan(cls, base: Point, excluded: Iterable[str] = ()) -> "SymbolicPointSet":
@@ -450,7 +453,7 @@ class SymbolicPointSet(FrozenValue):
 
     def minus(self, points: Iterable[Point]) -> "SymbolicPointSet":
         """Remove finitely many points; fans grow their excluded label sets."""
-        removed = set(points)
+        removed = set(_not_a_string(points))
         # parent path -> labels of the removed points above it
         by_parent: dict[tuple[str, ...], list[str]] = {}
         for p in removed:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qtree import ROOT, SymbolicPointSet
-from qtree.cli import build_parser, main
+from qtree.cli import _COMMANDS, _OPTIONS, _parse_canonical, build_parser, main
 
 Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
 EX111_MODEL = '{"base":[{"path":[]},{"path":["X"]},{"path":["Y"]}]}'
@@ -780,7 +780,12 @@ def test_a_well_formed_call_builds_only_its_own_verb_parser(capsys, monkeypatch)
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
+    # a canonical line builds no parser at all
     assert run(capsys, "saturate", Y_FACTOR, "--pretty") == (0, "D * Y\n", "")
+    assert added == []
+    # a line only argparse accepts, here for its abbreviation, builds only
+    # its own verb's subparser
+    assert run(capsys, "saturate", Y_FACTOR, "--pre") == (0, "D * Y\n", "")
     assert added == ["saturate"]
 
 
@@ -811,6 +816,73 @@ def test_a_line_that_starts_with_a_verb_parses_as_with_every_verb(capsys, monkey
     monkeypatch.setenv("COLUMNS", "80")
     alone = parse_outcome(capsys, build_parser(argv), list(argv))
     assert alone == parse_outcome(capsys, build_parser(), list(argv))
+
+
+# each kind of input: inline JSON, stdin, a file path, generator text, empty
+INPUTS = [Y_FACTOR, "-", "inputs/ideal.json", "x^3, y^2", ""]
+
+
+def canonical_lines(verb):
+    """Every canonical line of ``verb``: each subset of its flags in each
+    order, with the input before, between and after them."""
+    option = _COMMANDS[verb][2]
+    flags = [["--pretty"]]
+    if option:
+        settings = _OPTIONS[option]
+        values = settings.get("choices") or (["3"] if "type" in settings else [None])
+        flags += [[option] + ([value] if value else []) for value in values]
+    orders = [[]] + [[f] for f in flags]
+    orders += [[f, g] for f in flags for g in flags if f is not g and f[0] != g[0]]
+    for order in orders:
+        for at in range(len(order) + 1):
+            for source in INPUTS:
+                words = [w for f in order[:at] for w in f] + [source]
+                yield [verb, *words, *(w for f in order[at:] for w in f)]
+
+
+@pytest.mark.parametrize("verb", list(_COMMANDS))
+def test_a_canonical_line_parses_as_argparse_parses_it(capsys, verb):
+    lines = list(canonical_lines(verb))
+    assert len(lines) >= 5
+    for argv in lines:
+        expected = parse_outcome(capsys, build_parser(argv), argv)
+        got = _parse_canonical(argv)
+        if isinstance(expected, tuple):
+            # only transform's required --dir can be missing
+            assert verb == "transform" and "--dir" not in argv and got is None
+        else:
+            assert got is not None and vars(got) == vars(expected), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("saturate", "x", "-h"),
+        ("-h", "saturate", "x"),
+        ("saturate", "x", "--pre"),
+        ("closed-points", "x", "--truncate=3"),
+        ("saturate", "x", "--pretty", "--pretty"),
+        ("closed-points", "x", "--truncate", "2", "--truncate", "3"),
+        ("closed-points", "x", "--truncate", "-1"),
+        ("closed-points", "x", "--truncate", "abc"),
+        ("closed-points", "x", "--truncate"),
+        ("transform", "x", "--dir", "Z"),
+        ("transform", "x"),
+        ("rees", "x", "y"),
+        ("rees",),
+        ("rees", "--pretty"),
+        ("rees", "--", "x"),
+        ("rees", "x", "--"),
+        ("rees", "-1"),
+        ("rees", "x", "--dot"),
+        ("--pretty", "rees", "x"),
+        ("nope", "x"),
+        (),
+    ],
+    ids=lambda argv: " ".join(argv) or "empty",
+)
+def test_any_other_line_is_left_to_argparse(argv):
+    assert _parse_canonical(list(argv)) is None
 
 
 @pytest.mark.parametrize(

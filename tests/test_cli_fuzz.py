@@ -3,17 +3,19 @@
 Every verb gets random flags and JSON that is mostly well shaped, with
 garbage anywhere.  Whatever the input, ``cli.main`` returns 0, 1 or 2, or
 argparse exits; a refusal names its error class on stderr; and a second
-call prints the same bytes.
+call prints the same bytes.  Random token lists check the canonical-line
+parser against argparse.
 """
 
 import contextlib
 import io
 import json
 import re
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from qtree.cli import main
+from qtree.cli import _parse_canonical, build_parser, main
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40), st.floats(allow_nan=False), st.text(max_size=4)
@@ -137,10 +139,16 @@ def calls(draw):
     return argv
 
 
+Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
+
+
 def call(argv):
-    """(exit code, stdout, stderr, whether argparse exited)."""
+    """(exit code, stdout, stderr, whether argparse exited), with
+    ``Y_FACTOR`` on stdin."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch(
+        "sys.stdin", io.StringIO(Y_FACTOR)
+    ):
         try:
             code, exited = main(argv), False
         except SystemExit as exc:
@@ -160,3 +168,28 @@ def test_any_input_exits_cleanly_and_repeatably(argv):
         if code:
             assert out == "" and re.match(r"[A-Z][A-Za-z]*: ", err)
     assert call(argv) == first
+
+
+verbs = st.sampled_from(sorted(DOCUMENTS))
+tokens = st.one_of(
+    verbs,
+    st.sampled_from(["--pretty", "--dot", "--generators", "--henselian", "--truncate", "--dir"]),
+    st.sampled_from(["-h", "-", "--", "-1", " 6", "\u0666", "1_0", "X", "Z", Y_FACTOR]),
+)
+# mostly a verb first, as every line the parser could answer starts
+lines = st.one_of(
+    st.lists(tokens, max_size=6),
+    st.tuples(verbs, st.lists(tokens, max_size=5)).map(lambda t: [t[0], *t[1]]),
+)
+
+
+@settings(max_examples=400)
+@given(lines)
+def test_the_canonical_parser_agrees_with_argparse(argv):
+    got = _parse_canonical(argv)
+    if got is not None:
+        assert vars(got) == vars(build_parser(argv).parse_args(argv))
+    # argparse alone reads every line, as before the canonical parser
+    with mock.patch("qtree.cli._parse_canonical", return_value=None):
+        expected = call(argv)
+    assert call(argv) == expected

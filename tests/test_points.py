@@ -6,10 +6,14 @@ from hypothesis import given, strategies as st
 from conftest import P
 from qtree import (
     ROOT,
+    BasePointSet,
     CofiniteFan,
+    CompleteIdeal,
     Point,
     RootHasNoParent,
     SymbolicPointSet,
+    minimal_incomparable_set,
+    minimal_model_containing,
     sorted_points,
 )
 from oracles import TruncatedTree
@@ -91,6 +95,24 @@ def test_constructors_check_and_normalize_their_input():
 def test_a_bare_string_is_not_a_label_sequence(make):
     # it was split into one-letter labels: the point t.1, the fan
     # Q1(D) - {1, t}, and a fan excluding both X and Y
+    with pytest.raises(ValueError, match="^labels come as a sequence of strings, not as one string$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SymbolicPointSet.of_points("XY"),
+        lambda: SymbolicPointSet.of_points([P("X")]).minus("XY"),
+        lambda: BasePointSet.of("XY"),
+        lambda: CompleteIdeal.of("XY"),
+        lambda: minimal_model_containing("XY"),
+        lambda: minimal_incomparable_set("XY"),
+    ],
+    ids=["of_points", "minus", "base set", "ideal", "minimal model", "minimal incomparable"],
+)
+def test_a_bare_string_is_not_a_point_sequence(make):
+    # each failed on the one-letter strings with an AttributeError
     with pytest.raises(ValueError, match="^labels come as a sequence of strings, not as one string$"):
         make()
 

@@ -2,8 +2,8 @@
 
 A command-line verb runs in a fresh interpreter, so what it imports is part
 of its cost: each verb loads only the layers it runs, and no verb loads
-``dataclasses``, ``fractions`` or ``decimal``.  The package resolves its
-public names on first use.
+``dataclasses``, ``fractions`` or ``decimal``, nor, on a canonical line,
+``argparse``.  The package resolves its public names on first use.
 """
 
 import json
@@ -17,6 +17,7 @@ import pytest
 
 import qtree
 from conftest import P
+from test_cli import HELP
 from qtree import (
     ROOT,
     BasePointSet,
@@ -44,8 +45,8 @@ DESCRIPTOR = json.dumps(
 )
 
 
-def python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC)
+def python(code: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
     return subprocess.run(
         [sys.executable, "-c", code, *argv],
         env=env,
@@ -93,8 +94,17 @@ def test_a_verb_loads_only_its_layers(argv, layers):
     proc = python(RUN_VERB, *argv)
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.splitlines()[-1].split())
-    assert not {"dataclasses", "fractions", "decimal"} & modules
+    # a canonical line is parsed without argparse and the gettext and locale
+    # it loads
+    assert not {"dataclasses", "fractions", "decimal", "argparse", "gettext", "locale"} & modules
     assert {m.partition(".")[2] for m in modules if m.startswith("qtree.")} & LAYERS == layers
+
+
+def test_help_still_comes_from_argparse():
+    proc = python(RUN_VERB, "closed-points", "-h", COLUMNS="80")
+    assert proc.returncode == 0, proc.stderr
+    assert "argparse" in proc.stderr.splitlines()[-1].split()
+    assert proc.stdout == HELP["closed-points"]
 
 
 def test_import_qtree_loads_no_submodule_until_a_name_is_used():
