@@ -58,14 +58,8 @@ _EXPORTS = {
         "simple_ideal",
         "valuation_for_point",
     ),
-    "points": (
-        "ROOT",
-        "CofiniteFan",
-        "OrderValuation",
-        "Point",
-        "SymbolicPointSet",
-        "sorted_points",
-    ),
+    "points": ("ROOT", "OrderValuation", "Point", "sorted_points"),
+    "pointsets": ("CofiniteFan", "SymbolicPointSet"),
     "truncation": ("TruncatedTree",),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "render", "serialize"}

@@ -25,12 +25,11 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import serialize
 from .errors import OracleMismatch, QTreeError
-from .points import Point, SymbolicPointSet
 
 if TYPE_CHECKING:
-    import argparse
-
     from .monomial import MonomialIdeal
+    from .points import Point
+    from .pointsets import SymbolicPointSet
     from .truncation import TruncatedTree
 
 # ``--truncate L`` enumerates every point of the four-label tree up to level
@@ -43,12 +42,13 @@ def _load(args, decode: Callable[[Any], Any], parse_text: Callable[[str], Any] |
     """The verb's input, decoded.  A verb that also reads generator text
     passes ``parse_text``, which reads any input that is not a JSON object."""
     source = args.input
+    text_error = None
     if parse_text and source != "-" and not source.lstrip().startswith("{"):
         # inline generator text wins over a path when it parses as monomials
         try:
             return parse_text(source)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            text_error = exc
     if source == "-":
         raw = sys.stdin.read()
     elif source.lstrip().startswith(("{", "[")):
@@ -58,7 +58,9 @@ def _load(args, decode: Callable[[Any], Any], parse_text: Callable[[str], Any] |
             with open(source, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise ValueError(f"cannot read input {source!r}: {exc}") from exc
+            # where the text was refused too, name both readings
+            reason = f"as generator text, {text_error}; as a path, {exc}" if text_error else exc
+            raise ValueError(f"cannot read input {source!r}: {reason}") from exc
     if parse_text and not raw.lstrip().startswith("{"):
         return parse_text(raw.strip())
     return decode(serialize.loads(raw))
@@ -244,51 +246,14 @@ _OPTIONS = {
 }
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of the command line ``argv``.  A verb in ``argv[0]`` gets
-    the only subparser, since the top-level parser hands the rest of such a
-    line to that verb's alone; any other line gets every verb's, so that
-    help and errors list them all."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """An argument parser that words an invalid choice as 3.10-3.12 do,
-        its choices quoted, on every Python (later releases print them
-        bare), wherever on the line the choice stands."""
-
-        def _check_value(self, action: argparse.Action, value: Any) -> None:
-            if action.choices is not None and value not in action.choices:
-                choices = ", ".join(map(repr, action.choices))
-                raise argparse.ArgumentError(
-                    action, f"invalid choice: {value!r} (choose from {choices})"
-                )
-
-    parser = _Parser(
-        prog="qtree",
-        # as 3.10-3.12 wrap it at 80 columns, where 3.13 joins the last lines
-        usage="qtree [-h]\n             {" + ",".join(_COMMANDS) + "}\n             ...",
-        description="calculus for the quadratic tree of a 2-dimensional "
-        "regular local ring",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True, prog="qtree")
-    verbs = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for verb in verbs:
-        _, help_text, option = _COMMANDS[verb]
-        p = sub.add_parser(verb, prog=f"qtree {verb}", help=help_text)
-        p.add_argument("input", help="file path, inline JSON, or - for stdin")
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
-        if option:
-            p.add_argument(option, **_OPTIONS[option])
-    return parser
-
-
 def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace ``build_parser`` makes of a canonical line, else None:
-    a verb, one input (``-`` or a word not starting with ``-``), and
-    ``--pretty`` and the verb's option, each spelled out and at most once, in
-    any order, with a value not starting with ``-`` that passes the option's
-    ``type`` and ``choices``.  Any other line, help and usage errors among
-    them, is argparse's alone, which a canonical line never imports."""
+    """The namespace ``argparser.build_parser`` makes of a canonical line,
+    else None: a verb, one input (``-`` or a word not starting with ``-``),
+    and ``--pretty`` and the verb's option, each spelled out and at most
+    once, in any order, with a value not starting with ``-`` that passes the
+    option's ``type`` and ``choices``.  Any other line, help and usage
+    errors among them, is argparse's alone, which a canonical line never
+    imports."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     option = _COMMANDS[argv[0]][2]
@@ -323,7 +288,11 @@ def _parse_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_canonical(argv) or build_parser(argv).parse_args(argv)
+    args = _parse_canonical(argv)
+    if args is None:
+        from .argparser import build_parser
+
+        args = build_parser(argv).parse_args(argv)
     level = getattr(args, "truncate", None)
     try:
         # a level out of range is refused before any input is read

@@ -22,7 +22,8 @@ from typing import Union
 
 from .errors import InvalidDescriptor
 from .models import NonsingularModel
-from .points import ROOT, CofiniteFan, FrozenValue, Point, SymbolicPointSet, X_DIR, Y_DIR
+from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR
+from .pointsets import CofiniteFan, SymbolicPointSet
 
 
 class Verdict(str, Enum):

@@ -16,11 +16,14 @@ the blowup of its saturation.
 from __future__ import annotations
 
 from itertools import starmap
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyInput, NotAntichain, NotSaturated, RootNotAllowed, UnitIdeal
 from .ideals import BasePointSet, CompleteIdeal
-from .points import FrozenValue, Point, SymbolicPointSet, _not_a_string, _trusted_fan
+from .points import FrozenValue, Point, _not_a_string
+
+if TYPE_CHECKING:
+    from .pointsets import SymbolicPointSet
 
 
 class NonsingularModel(FrozenValue):
@@ -38,6 +41,8 @@ class NonsingularModel(FrozenValue):
         A point q is a closed point iff its parent is a base point and q
         itself is not.
         """
+        from .pointsets import SymbolicPointSet, _trusted_fan
+
         # one fan per member, in canonical order, its labels in label order
         fans = tuple(starmap(_trusted_fan, self.base.labels_above()))
         return SymbolicPointSet._canonical((), fans)
@@ -86,6 +91,8 @@ def minimal_desingularization(ideal: CompleteIdeal) -> NonsingularModel:
 
 
 def _validated_antichain(points: Iterable[Point]) -> tuple[Point, ...]:
+    from .pointsets import SymbolicPointSet
+
     pts = tuple(_not_a_string(points))
     if not pts:
         raise EmptyInput("at least one point is required")

@@ -34,13 +34,14 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any
 
-from .ideals import BasePointSet, CompleteIdeal
-from .points import CofiniteFan, OrderValuation, Point, SymbolicPointSet, sorted_points
+from .points import OrderValuation, Point, sorted_points
 
 if TYPE_CHECKING:
+    from .ideals import BasePointSet, CompleteIdeal
     from .intersections import Classification, IntersectionDescriptor
     from .models import NonsingularModel
     from .monomial import MonomialIdeal, MonomialValuation
+    from .pointsets import SymbolicPointSet
 
 SCHEMA = "qtree/1"
 
@@ -103,6 +104,8 @@ def pointset_to_json(s: SymbolicPointSet) -> dict:
 
 
 def pointset_from_json(obj: Any) -> SymbolicPointSet:
+    from .pointsets import CofiniteFan, SymbolicPointSet
+
     _expect(isinstance(obj, dict), "a point set is an object")
     singles = obj.get("singles", [])
     _expect(isinstance(singles, list), "singles are a list of points")
@@ -130,6 +133,8 @@ def ideal_to_json(ideal: CompleteIdeal) -> dict:
 
 
 def ideal_from_json(obj: Any) -> CompleteIdeal:
+    from .ideals import CompleteIdeal
+
     _expect(
         isinstance(obj, dict) and isinstance(obj.get("factors"), list),
         "a complete ideal is {'factors': [{'point': ..., 'mult': n}...]}",
@@ -158,6 +163,7 @@ def model_to_json(model: NonsingularModel) -> dict:
 
 
 def model_from_json(obj: Any) -> NonsingularModel:
+    from .ideals import BasePointSet
     from .models import NonsingularModel
 
     _expect(

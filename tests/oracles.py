@@ -16,7 +16,8 @@ import random
 from typing import Iterable, Iterator
 
 from qtree import truncation
-from qtree.points import ROOT, Point, SymbolicPointSet, sorted_points
+from qtree.points import ROOT, Point, sorted_points
+from qtree.pointsets import SymbolicPointSet
 
 Pair = tuple[int, int]
 

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from qtree import ROOT, SymbolicPointSet
-from qtree.cli import _COMMANDS, _OPTIONS, _parse_canonical, build_parser, main
+from qtree.argparser import build_parser
+from qtree.cli import _COMMANDS, _OPTIONS, _parse_canonical, main
 
 Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
 EX111_MODEL = '{"base":[{"path":[]},{"path":["X"]},{"path":["Y"]}]}'
@@ -268,6 +269,41 @@ def test_generator_text_from_a_file_and_stdin(capsys, monkeypatch, tmp_path, ver
     code, out, err = run(capsys, verb, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("ParseError:")
+
+
+@pytest.mark.parametrize("verb", ["closure", "factorize", "transform"])
+@pytest.mark.parametrize(
+    "source, text_error",
+    [
+        ("x^-1, y", "cannot parse monomial 'x^-1'"),
+        ("x^2,,y", "cannot parse monomial ''"),
+        ("X^2, y", "cannot parse monomial 'X^2'"),
+        ("missing.json", "cannot parse monomial 'missing.json'"),
+    ],
+)
+def test_input_that_is_neither_generator_text_nor_a_file_names_both(
+    capsys, monkeypatch, tmp_path, verb, source, text_error
+):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--dir", "X"] if verb == "transform" else []
+    code, out, err = run(capsys, verb, source, *flags)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"ParseError: cannot read input {source!r}: as generator text, {text_error}; "
+        f"as a path, [Errno 2] No such file or directory: {source!r}\n"
+    )
+
+
+@pytest.mark.parametrize("verb", ["saturate", "closed-points", "classify"])
+def test_a_missing_json_path_is_a_file_error(capsys, monkeypatch, tmp_path, verb):
+    # a verb that reads no generator text tries the file alone
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, verb, "missing.json")
+    assert (code, out) == (2, "")
+    assert err == (
+        "ParseError: cannot read input 'missing.json': "
+        "[Errno 2] No such file or directory: 'missing.json'\n"
+    )
 
 
 def test_domain_errors_exit_1(capsys):

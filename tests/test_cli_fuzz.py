@@ -15,7 +15,8 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from qtree.cli import _parse_canonical, build_parser, main
+from qtree.argparser import build_parser
+from qtree.cli import _parse_canonical, main
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40), st.floats(allow_nan=False), st.text(max_size=4)

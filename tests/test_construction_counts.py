@@ -31,7 +31,7 @@ from qtree import (
     minimal_incomparable_set,
     represents_same_ring,
 )
-from qtree import models, points, serialize
+from qtree import models, pointsets, serialize
 from qtree.cli import main
 from qtree.points import ROOT, _LinkedPoint
 
@@ -50,13 +50,13 @@ def built(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
 
-    def trusted_fan(base, excluded, construct=points._trusted_fan):
+    def trusted_fan(base, excluded, construct=pointsets._trusted_fan):
         fan = construct(base, excluded)
         made[CofiniteFan].append(fan)
         return fan
 
-    for module in (points, models):
-        monkeypatch.setattr(module, "_trusted_fan", trusted_fan)
+    # models reads it from pointsets on each call
+    monkeypatch.setattr(pointsets, "_trusted_fan", trusted_fan)
 
     def trusted_set(cls, singles, fans, construct=SymbolicPointSet._canonical.__func__):
         s = construct(cls, singles, fans)

@@ -3,7 +3,9 @@
 A command-line verb runs in a fresh interpreter, so what it imports is part
 of its cost: each verb loads only the layers it runs, and no verb loads
 ``dataclasses``, ``fractions`` or ``decimal``, nor, on a canonical line,
-``argparse``.  The package resolves its public names on first use.
+``argparse`` and the ``argparser`` module built on it.  The package
+resolves its public names on first use, and ``points`` the names of the
+point sets that moved to ``pointsets``.
 """
 
 import json
@@ -35,11 +37,21 @@ from qtree import (
 )
 
 SRC = str(Path(qtree.__file__).resolve().parents[1])
-LAYERS = {"models", "intersections", "monomial", "truncation", "render"}
+LAYERS = {
+    "argparser",
+    "ideals",
+    "intersections",
+    "models",
+    "monomial",
+    "pointsets",
+    "render",
+    "truncation",
+}
 
 Y_FACTOR = '{"factors":[{"point":{"path":["Y"]},"mult":1}]}'
 ROOT_MODEL = '{"base":[{"path":[]}]}'
 X_POINTS = '{"points":[{"path":["X"]}]}'
+MODEL_PAIR = json.dumps({"models": [{"base": [{"path": []}]}, {"base": [{"path": []}]}]})
 DESCRIPTOR = json.dumps(
     {"model": {"base": [{"path": []}]}, "subset": {"singles": [{"path": ["X"]}]}}
 )
@@ -67,20 +79,31 @@ RUN_VERB = (
 
 # (verb and flags, then the layers it must load and no others)
 VERBS = [
-    (("saturate", Y_FACTOR), set()),
-    (("base-points", Y_FACTOR), set()),
-    (("rees", Y_FACTOR), set()),
-    (("saturate", Y_FACTOR, "--generators"), {"monomial"}),
-    (("generators", Y_FACTOR), {"monomial"}),
+    (("saturate", Y_FACTOR), {"ideals"}),
+    (("base-points", Y_FACTOR), {"ideals"}),
+    (("rees", Y_FACTOR), {"ideals"}),
+    (("saturate", Y_FACTOR, "--generators"), {"ideals", "monomial"}),
+    (("generators", Y_FACTOR), {"ideals", "monomial"}),
     (("closure", "x^3, y^2"), {"monomial"}),
-    (("closed-points", ROOT_MODEL), {"models"}),
-    (("closed-points", ROOT_MODEL, "--truncate", "2"), {"models", "truncation"}),
-    (("min-incomparable", X_POINTS), {"models"}),
-    (("min-incomparable", X_POINTS, "--truncate", "2"), {"models", "truncation"}),
-    (("desingularize", Y_FACTOR), {"models"}),
-    (("desingularize", Y_FACTOR, "--dot"), {"models", "render"}),
-    (("emit-dot", ROOT_MODEL), {"models", "render"}),
-    (("classify", DESCRIPTOR), {"models", "intersections"}),
+    (("transform", "x^2, xy, y^2", "--dir", "X"), {"monomial"}),
+    (("point-of-valuation", '{"p": 2, "q": 3}'), {"monomial"}),
+    (("factorize", "x^2, xy, y^2"), {"ideals", "monomial"}),
+    (("closed-points", ROOT_MODEL), {"ideals", "models", "pointsets"}),
+    (
+        ("closed-points", ROOT_MODEL, "--truncate", "2"),
+        {"ideals", "models", "pointsets", "truncation"},
+    ),
+    (("min-incomparable", X_POINTS), {"ideals", "models", "pointsets"}),
+    (
+        ("min-incomparable", X_POINTS, "--truncate", "2"),
+        {"ideals", "models", "pointsets", "truncation"},
+    ),
+    (("minimal-model", X_POINTS), {"ideals", "models", "pointsets"}),
+    (("desingularize", Y_FACTOR), {"ideals", "models"}),
+    (("desingularize", Y_FACTOR, "--dot"), {"ideals", "models", "pointsets", "render"}),
+    (("join", MODEL_PAIR), {"ideals", "models"}),
+    (("emit-dot", ROOT_MODEL), {"ideals", "models", "pointsets", "render"}),
+    (("classify", DESCRIPTOR), {"ideals", "intersections", "models", "pointsets"}),
 ]
 
 
@@ -95,7 +118,7 @@ def test_a_verb_loads_only_its_layers(argv, layers):
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.splitlines()[-1].split())
     # a canonical line is parsed without argparse and the gettext and locale
-    # it loads
+    # it loads (``argparser``, the module built on it, is in LAYERS)
     assert not {"dataclasses", "fractions", "decimal", "argparse", "gettext", "locale"} & modules
     assert {m.partition(".")[2] for m in modules if m.startswith("qtree.")} & LAYERS == layers
 
@@ -103,7 +126,12 @@ def test_a_verb_loads_only_its_layers(argv, layers):
 def test_help_still_comes_from_argparse():
     proc = python(RUN_VERB, "closed-points", "-h", COLUMNS="80")
     assert proc.returncode == 0, proc.stderr
-    assert "argparse" in proc.stderr.splitlines()[-1].split()
+    modules = set(proc.stderr.splitlines()[-1].split())
+    assert {"argparse", "qtree.argparser"} <= modules
+    # help reads no input, so it loads no layer of the calculus
+    assert {m.partition(".")[2] for m in modules if m.startswith("qtree.")} & LAYERS == {
+        "argparser"
+    }
     assert proc.stdout == HELP["closed-points"]
 
 
@@ -143,10 +171,32 @@ def test_star_import_binds_every_public_name():
 @pytest.mark.parametrize(
     "name",
     ["cli", "errors", "ideals", "intersections", "models", "monomial", "points",
-     "render", "serialize", "truncation"],
+     "pointsets", "render", "serialize", "truncation"],
 )
 def test_submodules_are_attributes(name):
     assert getattr(qtree, name) is sys.modules[f"qtree.{name}"]
+
+
+def test_points_forwards_the_moved_point_set_names_and_keeps_them():
+    # a fresh interpreter, so that nothing has read the names yet
+    proc = python(
+        "import sys, qtree.points as points\n"
+        "names = ('CofiniteFan', 'SymbolicPointSet', '_trusted_fan')\n"
+        "print('qtree.pointsets' in sys.modules, *(n in vars(points) for n in names))\n"
+        "import qtree.pointsets as pointsets\n"
+        "print(*(getattr(points, n) is getattr(pointsets, n) for n in names))\n"
+        "print(*(vars(points)[n] is getattr(pointsets, n) for n in names))\n"
+        "print(hasattr(points, 'no_such_name'))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False False False False",
+        "True True True",
+        "True True True",
+        "False",
+    ]
+    assert qtree.points.SymbolicPointSet is qtree.pointsets.SymbolicPointSet
+    assert "SymbolicPointSet" in vars(qtree.points)
 
 
 def test_unknown_attribute_raises_attribute_error():
