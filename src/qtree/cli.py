@@ -312,4 +312,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # run as ``python -m qtree.cli``: the argparse fallback imports the verb
+    # table from ``qtree.cli``, which is this module, not a second copy
+    sys.modules["qtree.cli"] = sys.modules[__name__]
     sys.exit(main())

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from itertools import accumulate, compress, pairwise, starmap
+from operator import attrgetter, not_
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidBasePoints, UnitIdeal
+from .errors import UnitIdeal
 from .points import (
     ROOT,
     FrozenValue,
@@ -37,8 +38,50 @@ from .points import (
 _path = attrgetter("path")
 
 
-def _label_key(node: tuple[Point, str, list]) -> tuple[int, str]:
-    return label_key(node[1])
+def _closed(points):
+    """The flat index of the downward closure of ``points`` (see
+    :class:`BasePointSet`).
+
+    The points are walked in path order, labels compared in label order,
+    where the longest prefix of a point already in the closure is the one
+    it shares with the point before it.  So the chain above that prefix is
+    made once, each new point from its parent: no point is hashed and no
+    membership tested, and the points made build their paths only when
+    read.  The walk meets the members depth first, the members above each
+    in label order, so their canonical order is that order sorted by level.
+    """
+    points = [ROOT, *points]
+    alphabet = sorted(set().union(*map(_path, points)), key=label_key)
+    rank = dict(zip(alphabet, range(len(alphabet)))).get
+    # paths compare as they are where label order is string order
+    points.sort(key=_path if alphabet == sorted(alphabet) else lambda p: tuple(map(rank, p.path)))
+    members, labels, levels, counts = [ROOT], [None], [0], [0]
+    along, last = [0], ()  # the indices of the members on the last path, and it
+    for p in points:
+        path = p.path
+        n = len(last)
+        if path[:n] != last:
+            n = _common_prefix_length(last, path)
+        elif n == len(path):
+            continue  # the previous point again
+        del along[n + 1 :]
+        counts[along[n]] += 1
+        q = members[along[n]]
+        along += range(len(members), len(members) + len(path) - n)
+        for level in range(n + 1, len(path)):
+            q = _point_above(q, path[level - 1], level)
+            members.append(q)
+            counts.append(1)
+        members.append(p)
+        counts.append(0)
+        labels += path[n:]
+        levels += range(n + 1, len(path) + 1)
+        last = path
+    columns = members, labels, counts
+    if levels != sorted(levels):  # the points lie on more than one chain
+        order = sorted(range(len(members)), key=levels.__getitem__)
+        columns = [map(column.__getitem__, order) for column in columns]
+    return tuple(map(tuple, columns))
 
 
 class BasePointSet(FrozenValue):
@@ -46,9 +89,13 @@ class BasePointSet(FrozenValue):
 
     Base-point sets of m-primary ideals always contain the root and are
     closed under taking parents; this class enforces both.  Construction
-    also builds the index every query reads: one node per member, holding
-    the member, its last label and the nodes of the members directly above
-    it, and the nodes in canonical order.
+    also builds the flat index every query reads: the members in canonical
+    order, each one's last label and the number of members directly above
+    it, as three tuples.  The members directly above the i-th member follow
+    those above the members before it, so no container per member outlives
+    a build.  A downward closure builds its index here; a set of given
+    points and a union build theirs in :mod:`qtree.baseindex`, which only
+    they load.
     """
 
     _fields = ("points",)
@@ -62,108 +109,65 @@ class BasePointSet(FrozenValue):
         return (BasePointSet, (self.points,))
 
     def __post_init__(self) -> None:
-        # a downward closure hands over its index already linked
-        root = self.__dict__.pop("_root", None)
-        if root is None:
-            root = self._link()
-        # breadth first with children in label order is the canonical order:
-        # by level, then by the labels along the path
-        nodes = [root]
-        for _, _, above in nodes:
-            if len(above) > 1:
-                above.sort(key=_label_key)
-            nodes.extend(above)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_order", tuple(map(itemgetter(0), nodes)))
+        # a downward closure and a union hand over their index already built
+        if "_index" not in self.__dict__:
+            from .baseindex import linked
 
-    def _link(self) -> tuple[Point, None, list]:
-        """The root node of the index of ``points``, every node linked to
-        its parent's."""
-        table = {p.path: (p, []) for p in self.points}
-        root = table.get(())
-        if root is None:
-            raise InvalidBasePoints("a base-point set must contain the root")
-        for path, (p, above) in table.items():
-            if path:
-                parent = table.get(path[:-1])
-                if parent is None:
-                    raise InvalidBasePoints(
-                        f"{p} is present but its parent {p.parent()} is not"
-                    )
-                parent[1].append((p, path[-1], above))
-        return (root[0], None, root[1])
+            self.__dict__["_index"] = linked(self.points)
+
+    @classmethod
+    def _indexed(cls, index) -> "BasePointSet":
+        base = object.__new__(cls)
+        base.__dict__["_index"] = index
+        base.__post_init__()
+        return base
 
     @cached_property
     def points(self) -> frozenset[Point]:
-        # a downward closure's members, hashed only when first read
-        return frozenset(self._order)
+        # a downward closure's or a union's members, hashed only when first read
+        return frozenset(self._index[0])
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "BasePointSet":
-        return cls(frozenset(_not_a_string(points)))
+        return cls(_not_a_string(points))
 
     @classmethod
     def downward_closure(cls, points: Iterable[Point]) -> "BasePointSet":
-        """The given points and every point below them.
-
-        In path order the longest prefix of a point already in the closure
-        is the one it shares with the point before it, so the chain above
-        that prefix is made once, each new point from its parent: no point
-        is hashed and no membership tested.  The points made this way build
-        their paths only when read.
-        """
-        root = (ROOT, None, [])
-        chain = [root]  # the nodes along the previous point's path
-        last: tuple[str, ...] = ()
-        for p in sorted(points, key=_path):
-            path = p.path
-            n = len(last)
-            if path[:n] != last:
-                n = _common_prefix_length(last, path)
-            elif n == len(path):
-                continue  # the previous point again
-            del chain[n + 1 :]
-            node = chain[n]
-            for level in range(n + 1, len(path) + 1):
-                label = path[level - 1]
-                q = p if level == len(path) else _point_above(node[0], label, level)
-                child = (q, label, [])
-                node[2].append(child)
-                chain.append(child)
-                node = child
-            last = path
-        base = object.__new__(cls)
-        base.__dict__["_root"] = root
-        base.__post_init__()
-        return base
+        """The given points and every point below them; the points it makes
+        build their paths only when read."""
+        return cls._indexed(_closed(points))
 
     def __contains__(self, p: Point) -> bool:
         return p in self.points
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self._order)
+        return iter(self._index[0])
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._index[0])
 
     def sorted(self) -> tuple[Point, ...]:
-        return self._order
+        return self._index[0]
 
     def terminals(self) -> tuple[Point, ...]:
         """The maximal elements under the containment order."""
-        return tuple(p for p, _, above in self._nodes if not above)
+        return tuple(compress(self._index[0], map(not_, self._index[2])))
 
     def labels_above(self) -> Iterator[tuple[Point, tuple[str, ...]]]:
         """Each member in canonical order, with the labels of the members
         directly above it, in label order."""
-        for p, _, above in self._nodes:
-            yield p, tuple(node[1] for node in above) if above else ()
+        order, labels, counts = self._index
+        # the i-th member's run of labels ends where the next one's starts
+        runs = starmap(slice, pairwise(accumulate(counts, initial=1)))
+        return zip(order, map(labels.__getitem__, runs))
 
     def union(self, other: "BasePointSet") -> "BasePointSet":
-        return BasePointSet(self.points | other.points)
+        from .baseindex import merged
+
+        return BasePointSet._indexed(merged(self, other))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(p) for p in self._order) + "}"
+        return "{" + ", ".join(map(str, self._index[0])) + "}"
 
 
 class CompleteIdeal(FrozenValue):

@@ -249,7 +249,8 @@ def classify(d: IntersectionDescriptor) -> Classification:
 
     singularity = None
     for name, (base, named) in _NAMED_SINGULARITIES.items():
-        if d.model.base.points == base and subset == named:
+        # the lengths first: comparing the members hashes every one
+        if len(d.model.base) == len(base) and d.model.base.points == base and subset == named:
             singularity = name
 
     return Classification(

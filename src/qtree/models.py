@@ -51,8 +51,9 @@ class NonsingularModel(FrozenValue):
         return not q.is_root and q.parent() in self.base and q not in self.base
 
     def dominates(self, other: "NonsingularModel") -> bool:
-        """True iff this model's base set contains the other's."""
-        return self.base.points >= other.base.points
+        """True iff this model's base set contains the other's: their union
+        is no larger."""
+        return len(self.base.union(other.base)) == len(self.base)
 
     def join(self, other: "NonsingularModel") -> "NonsingularModel":
         """The least model dominating both, realized by the product ideal."""

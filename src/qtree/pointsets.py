@@ -234,8 +234,9 @@ class SymbolicPointSet(FrozenValue):
         """True iff no two distinct members of the set are comparable: no
         member lies below a single or a fan base, and no fan's base is a
         single."""
-        return not any(self._member_below.values()) and not any(
-            f.base in self._single_set for f in self.fans
+        # a fan's base is hashed only where there are singles to find it in
+        return not any(self._member_below.values()) and not (
+            self.singles and any(f.base in self._single_set for f in self.fans)
         )
 
     def minimal_points(self) -> "SymbolicPointSet":

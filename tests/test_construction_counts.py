@@ -4,10 +4,12 @@ sets by being built canonical.
 A derived set keeps the fans it is given and never runs the canonicalizing
 constructor, a predicate reads the sweep instead of building a set to
 compare, a query validates its input once, a ``--truncate`` call enumerates
-its tree once, and a downward closure builds no path it is not asked for.
+its tree once, a downward closure builds no path it is not asked for, and a
+union of base sets merges their indexes without building one.
 These tests count the constructions, so a pass that redoes one fails here.
 """
 
+import gc
 from functools import cached_property
 
 import pytest
@@ -300,6 +302,38 @@ def test_a_closure_builds_no_path_or_hash(level):
         BasePointSet.of(plain)
     )
     assert base == BasePointSet.of(plain)
+
+
+def test_a_closure_keeps_no_container_per_member_but_the_points():
+    # the index is three tuples, so a base set keeps alive the points a
+    # closure makes and a few containers of its own, however long it is
+    ideal, _, _ = _parting_chains(4000)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        base = ideal.base_points()
+        made = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(base) == 2 * 4000 - 4000 // 2 + 1
+    assert made <= len(base) + 10
+
+
+def test_join_and_dominates_build_no_path_or_hash():
+    # the two one-factor models of two parting chains, merged member by
+    # member along their labels
+    _, first, second = _parting_chains(4000)
+    one, two = (minimal_desingularization(CompleteIdeal.simple(Point(p))) for p in (first, second))
+    joined = one.join(two)
+    assert joined.dominates(one) and joined.dominates(two)
+    assert not one.dominates(two) and not two.dominates(one) and one.dominates(one)
+    assert len(joined.base) == 2 * 4000 - 4000 // 2 + 1
+    assert joined.base.terminals() == (Point(first), Point(second))
+    made = [p for model in (one, two) for p in model.base if type(p) is _LinkedPoint]
+    assert len(made) == 2 * 3999 and all(map(_unread, made))
+    assert all(map(_unread, (p for p in joined.base if type(p) is _LinkedPoint)))
 
 
 @pytest.mark.parametrize("d", [300, 4000])

@@ -44,8 +44,16 @@ class TestBasePointSet:
             ),
             ([ROOT, P("X", "Y")], "X.Y is present but its parent X is not"),
             ([ROOT, ROOT.child("X").child("Y")], "X.Y is present but its parent X is not"),
+            # X.Y.t1's parent is present, but not X.Y's
+            ([ROOT, P("X", "Y"), P("X", "Y", "t1")], "X.Y is present but its parent X is not"),
         ],
-        ids=["no-root-from-paths", "no-root-by-child", "no-parent-from-paths", "no-parent-by-child"],
+        ids=[
+            "no-root-from-paths",
+            "no-root-by-child",
+            "no-parent-from-paths",
+            "no-parent-by-child",
+            "no-parent-below-a-parent",
+        ],
     )
     def test_refusals_read_the_same_for_paths_and_children(self, points, message):
         with pytest.raises(InvalidBasePoints) as refused:

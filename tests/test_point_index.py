@@ -1,13 +1,14 @@
 """The indexed point core against quadratic reference definitions.
 
-Base-set queries are answered from an index that links each member to its
-parent's node, found by the parent's path, fan and antichain queries from a
-path-keyed index and one sweep; ``oracles`` keeps the pairwise definitions
-they replace.  A base set's members may come with their parents (made by
-``child`` or ``parent``), or each alone from its path, or both mixed; the
-index must answer alike.  The label alphabet includes
-``A``, which sorts before ``X`` as a plain string, and ``X1``, which sorts
-between ``X`` and ``Y``, but both after ``Y`` in canonical label order.
+Base-set queries are answered from a flat index of the members in
+canonical order, which a union merges from two, and fan and antichain
+queries from a path-keyed index and one sweep; ``oracles`` keeps the
+pairwise definitions they replace.  A base set's members may come with
+their parents (made by ``child`` or ``parent``), or each alone from its
+path, or both mixed; the index must answer alike.  The label alphabet
+includes ``A``, which sorts before ``X`` as a plain string, and ``X1``,
+which sorts between ``X`` and ``Y``, but both after ``Y`` in canonical
+label order.
 """
 
 import os
@@ -231,6 +232,29 @@ mixed_base_sets = st.one_of(
     path_lists.map(lambda tips: BasePointSet.downward_closure(map(Point, tips))),
     st.tuples(path_lists, path_lists).map(given_and_closure_made),
 )
+
+
+# base sets from either constructor: given points (plain, made by
+# ``child`` or both), closures, and a set of given points united with one
+either_base_sets = st.one_of(base_sets.map(BasePointSet.of), mixed_base_sets)
+
+
+@given(either_base_sets, either_base_sets)
+def test_union_and_dominates_merge_two_indexes(a, b):
+    pts = a.points | b.points
+    union = a.union(b)
+    assert union == BasePointSet(pts) and len(union) == len(pts)
+    assert union.sorted() == oracles.reference_sorted(pts)
+    assert union.terminals() == oracles.reference_terminals(pts)
+    above = dict(union.labels_above())
+    assert all(above[p] == oracles.reference_child_labels(pts, p) for p in pts)
+    # each member is one of the two sets' own
+    assert {id(p) for p in union} <= {id(q) for q in (*a, *b)}
+    left, right, joined = NonsingularModel(a), NonsingularModel(b), NonsingularModel(union)
+    assert left.dominates(right) == (a.points >= b.points)
+    assert right.dominates(left) == (b.points >= a.points)
+    assert joined.dominates(left) and joined.dominates(right)
+    assert left.dominates(joined) == (a.points >= b.points)
 
 
 @given(mixed_base_sets, symbolic_sets, st.data())

@@ -39,6 +39,7 @@ from qtree import (
 SRC = str(Path(qtree.__file__).resolve().parents[1])
 LAYERS = {
     "argparser",
+    "baseindex",
     "ideals",
     "intersections",
     "models",
@@ -88,10 +89,12 @@ VERBS = [
     (("transform", "x^2, xy, y^2", "--dir", "X"), {"monomial"}),
     (("point-of-valuation", '{"p": 2, "q": 3}'), {"monomial"}),
     (("factorize", "x^2, xy, y^2"), {"ideals", "monomial"}),
-    (("closed-points", ROOT_MODEL), {"ideals", "models", "pointsets"}),
+    # a model read from input is a set of given points, indexed by
+    # ``baseindex``; an ideal's base set and a minimal model are closures
+    (("closed-points", ROOT_MODEL), {"baseindex", "ideals", "models", "pointsets"}),
     (
         ("closed-points", ROOT_MODEL, "--truncate", "2"),
-        {"ideals", "models", "pointsets", "truncation"},
+        {"baseindex", "ideals", "models", "pointsets", "truncation"},
     ),
     (("min-incomparable", X_POINTS), {"ideals", "models", "pointsets"}),
     (
@@ -101,9 +104,12 @@ VERBS = [
     (("minimal-model", X_POINTS), {"ideals", "models", "pointsets"}),
     (("desingularize", Y_FACTOR), {"ideals", "models"}),
     (("desingularize", Y_FACTOR, "--dot"), {"ideals", "models", "pointsets", "render"}),
-    (("join", MODEL_PAIR), {"ideals", "models"}),
-    (("emit-dot", ROOT_MODEL), {"ideals", "models", "pointsets", "render"}),
-    (("classify", DESCRIPTOR), {"ideals", "intersections", "models", "pointsets"}),
+    (("join", MODEL_PAIR), {"baseindex", "ideals", "models"}),
+    (("emit-dot", ROOT_MODEL), {"baseindex", "ideals", "models", "pointsets", "render"}),
+    (
+        ("classify", DESCRIPTOR),
+        {"baseindex", "ideals", "intersections", "models", "pointsets"},
+    ),
 ]
 
 
@@ -133,6 +139,34 @@ def test_help_still_comes_from_argparse():
         "argparser"
     }
     assert proc.stdout == HELP["closed-points"]
+
+
+@pytest.mark.parametrize("argv", [("closure", "-h"), ("closure",), ("nope", "x")])
+def test_the_cli_run_as_main_is_one_module(argv):
+    # ``python -m qtree.cli`` runs ``cli`` as ``__main__``; a line that
+    # ``argparser`` parses imports the verb table from ``qtree.cli``, which
+    # must find that module rather than load and compile a second one
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-X", "importtime", *args, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    proc, documented = run("-m", "qtree.cli"), run("-m", "qtree")
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "qtree.argparser" in imported and "qtree.cli" not in imported
+    # the output and the exit code of ``python -m qtree``, the documented entry
+    assert proc.returncode == documented.returncode
+    assert proc.stdout == documented.stdout
+    errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+    assert errors == [
+        line for line in documented.stderr.splitlines() if not line.startswith("import time:")
+    ]
 
 
 def test_import_qtree_loads_no_submodule_until_a_name_is_used():
@@ -375,8 +409,7 @@ def test_cached_properties_stay_outside_the_value():
 
 
 def test_a_pickled_base_set_carries_no_index():
-    # the index nests one list per level, so a long chain would nest past
-    # the pickler's recursion limit; the value is its points alone
+    # the value is its points alone, and its index is rebuilt from them
     chain = CompleteIdeal.simple(P(*"X" * 3000)).base_points()
     copy = pickle.loads(pickle.dumps(chain))
     assert copy == chain and copy.terminals() == chain.terminals()
