@@ -1,25 +1,21 @@
-"""The flat index of a base-point set made of points that already exist.
+"""The flat index of a base-point set of points that already exist.
 
 A :class:`~qtree.ideals.BasePointSet` reads its members from three tuples:
 the members in canonical order (breadth first, the members above each in
 label order), each member's last label, and the number of members directly
 above it, whose run follows those of the members before it.  A downward
-closure makes its own members and builds its index in ``ideals``; the two
-builders here index points that exist already: a set of given points, and
-the union of two base sets.  ``ideals`` imports this module when it first
-builds one, so a command line that only closes points never compiles it.
+closure makes its own members and builds its index in ``ideals``; a set of
+given points finds each member above its parent by the parent's path, as
+here.  ``ideals`` imports this module when it first builds such a set, so a
+command line that only closes points never compiles it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING
 
 from .errors import InvalidBasePoints
 from .points import Point, label_key
-
-if TYPE_CHECKING:
-    from .ideals import BasePointSet
 
 
 def _label_order(p: Point) -> tuple[int, str]:
@@ -48,42 +44,3 @@ def linked(points: frozenset[Point]) -> tuple[tuple, tuple, tuple]:
         p = min(above[parent], key=_label_order)
         raise InvalidBasePoints(f"{p} is present but its parent {p.parent()} is not")
     return tuple(order), (None, *(p.path[-1] for p in order[1:])), tuple(counts)
-
-
-def merged(a: BasePointSet, b: BasePointSet) -> tuple[tuple, tuple, tuple]:
-    """The flat index of the union of two base sets, walked breadth first.
-
-    A member of both sets is met as the pair of its indexes in them, and
-    the members directly above it are those above it in either set,
-    matched by label, so no path is read.  Above a member of one set only,
-    every member is of that set alone, so those members are met as runs of
-    consecutive indexes in it, and the members above a run are the next
-    run of that set.
-    """
-    # in each set, where the members above its next member start
-    sets, starts = (a._index, b._index), [1, 1]
-    members, labels, counts = [], [], []
-    # runs (0 for a or 1 for b, start, end, -1) and members of both (0, i, i + 1, j)
-    queue = [(0, 0, 1, 0)]
-    for side, start, end, j in queue:
-        order, above, numbers = sets[side]
-        members += order[start:end]
-        labels += above[start:end]
-        if j < 0:
-            counts += numbers[start:end]
-            n = sum(numbers[start:end])
-            if n:
-                queue.append((side, starts[side], starts[side] + n, -1))
-            starts[side] += n
-            continue
-        found = {}  # label: [index in a, index in b], -1 where absent
-        for s, i in enumerate((start, j)):
-            _, above, numbers = sets[s]
-            for k in range(starts[s], starts[s] + numbers[i]):
-                found.setdefault(above[k], [-1, -1])[s] = k
-            starts[s] += numbers[i]
-        counts.append(len(found))
-        for label in sorted(found, key=label_key):
-            i, k = found[label]
-            queue.append((0, i, i + 1, k) if i >= 0 else (1, k, k + 1, -1))
-    return tuple(members), tuple(labels), tuple(counts)

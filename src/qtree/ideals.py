@@ -36,6 +36,8 @@ from .points import (
 
 
 _path = attrgetter("path")
+# the names of a base set's flat index (see :class:`BasePointSet`)
+_INDEX = ("_members", "_labels", "_counts")
 
 
 def _closed(points):
@@ -53,8 +55,7 @@ def _closed(points):
     points = [ROOT, *points]
     alphabet = sorted(set().union(*map(_path, points)), key=label_key)
     rank = dict(zip(alphabet, range(len(alphabet)))).get
-    # paths compare as they are where label order is string order
-    points.sort(key=_path if alphabet == sorted(alphabet) else lambda p: tuple(map(rank, p.path)))
+    points.sort(key=lambda p: tuple(map(rank, p.path)))
     members, labels, levels, counts = [ROOT], [None], [0], [0]
     along, last = [0], ()  # the indices of the members on the last path, and it
     for p in points:
@@ -77,11 +78,8 @@ def _closed(points):
         labels += path[n:]
         levels += range(n + 1, len(path) + 1)
         last = path
-    columns = members, labels, counts
-    if levels != sorted(levels):  # the points lie on more than one chain
-        order = sorted(range(len(members)), key=levels.__getitem__)
-        columns = [map(column.__getitem__, order) for column in columns]
-    return tuple(map(tuple, columns))
+    order = sorted(range(len(members)), key=levels.__getitem__)
+    return tuple(tuple(map(column.__getitem__, order)) for column in (members, labels, counts))
 
 
 class BasePointSet(FrozenValue):
@@ -89,13 +87,14 @@ class BasePointSet(FrozenValue):
 
     Base-point sets of m-primary ideals always contain the root and are
     closed under taking parents; this class enforces both.  Construction
-    also builds the flat index every query reads: the members in canonical
-    order, each one's last label and the number of members directly above
-    it, as three tuples.  The members directly above the i-th member follow
-    those above the members before it, so no container per member outlives
-    a build.  A downward closure builds its index here; a set of given
-    points and a union build theirs in :mod:`qtree.baseindex`, which only
-    they load.
+    also builds the flat index every query reads, three tuples:
+    ``_members`` in canonical order, ``_labels``, each member's last label,
+    and ``_counts``, the number of members directly above each.  The
+    members directly above the i-th member follow those above the members
+    before it, so no container per member outlives a build.  A downward
+    closure builds its index here; a set of given points builds its own in
+    :mod:`qtree.baseindex`, and a union merges two in
+    :mod:`qtree.baseunion`, each loaded only when first needed.
     """
 
     _fields = ("points",)
@@ -110,22 +109,22 @@ class BasePointSet(FrozenValue):
 
     def __post_init__(self) -> None:
         # a downward closure and a union hand over their index already built
-        if "_index" not in self.__dict__:
+        if "_members" not in self.__dict__:
             from .baseindex import linked
 
-            self.__dict__["_index"] = linked(self.points)
+            self.__dict__.update(zip(_INDEX, linked(self.points)))
 
     @classmethod
     def _indexed(cls, index) -> "BasePointSet":
         base = object.__new__(cls)
-        base.__dict__["_index"] = index
+        base.__dict__.update(zip(_INDEX, index))
         base.__post_init__()
         return base
 
     @cached_property
     def points(self) -> frozenset[Point]:
         # a downward closure's or a union's members, hashed only when first read
-        return frozenset(self._index[0])
+        return frozenset(self._members)
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "BasePointSet":
@@ -141,33 +140,32 @@ class BasePointSet(FrozenValue):
         return p in self.points
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self._index[0])
+        return iter(self._members)
 
     def __len__(self) -> int:
-        return len(self._index[0])
+        return len(self._members)
 
     def sorted(self) -> tuple[Point, ...]:
-        return self._index[0]
+        return self._members
 
     def terminals(self) -> tuple[Point, ...]:
         """The maximal elements under the containment order."""
-        return tuple(compress(self._index[0], map(not_, self._index[2])))
+        return tuple(compress(self._members, map(not_, self._counts)))
 
     def labels_above(self) -> Iterator[tuple[Point, tuple[str, ...]]]:
         """Each member in canonical order, with the labels of the members
         directly above it, in label order."""
-        order, labels, counts = self._index
         # the i-th member's run of labels ends where the next one's starts
-        runs = starmap(slice, pairwise(accumulate(counts, initial=1)))
-        return zip(order, map(labels.__getitem__, runs))
+        runs = starmap(slice, pairwise(accumulate(self._counts, initial=1)))
+        return zip(self._members, map(self._labels.__getitem__, runs))
 
     def union(self, other: "BasePointSet") -> "BasePointSet":
-        from .baseindex import merged
+        from .baseunion import merged
 
         return BasePointSet._indexed(merged(self, other))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(map(str, self._index[0])) + "}"
+        return "{" + ", ".join(map(str, self._members)) + "}"
 
 
 class CompleteIdeal(FrozenValue):

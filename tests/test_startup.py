@@ -40,6 +40,7 @@ SRC = str(Path(qtree.__file__).resolve().parents[1])
 LAYERS = {
     "argparser",
     "baseindex",
+    "baseunion",
     "ideals",
     "intersections",
     "models",
@@ -104,7 +105,8 @@ VERBS = [
     (("minimal-model", X_POINTS), {"ideals", "models", "pointsets"}),
     (("desingularize", Y_FACTOR), {"ideals", "models"}),
     (("desingularize", Y_FACTOR, "--dot"), {"ideals", "models", "pointsets", "render"}),
-    (("join", MODEL_PAIR), {"baseindex", "ideals", "models"}),
+    # only a union of two base sets loads ``baseunion``
+    (("join", MODEL_PAIR), {"baseindex", "baseunion", "ideals", "models"}),
     (("emit-dot", ROOT_MODEL), {"baseindex", "ideals", "models", "pointsets", "render"}),
     (
         ("classify", DESCRIPTOR),
