@@ -23,7 +23,7 @@ from typing import Union
 from .errors import InvalidDescriptor
 from .models import NonsingularModel
 from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR
-from .pointsets import CofiniteFan, SymbolicPointSet
+from .pointsets import CofiniteFan, SymbolicPointSet, _antichain
 
 
 class Verdict(str, Enum):
@@ -55,7 +55,13 @@ class IntersectionDescriptor(FrozenValue):
 
     The Henselian flag must be a bool.  Validity is checked atom by atom:
     every fan must be based at a base point of the model, and every single
-    must be a closed point of it.
+    must be a closed point of it.  The check walks the fans and the model's
+    base points together, both in canonical order, and records two facts.
+    When every fan excludes the labels of the base points directly above
+    its base, the subset lies inside the closed points, an antichain, and
+    the subset records that as its antichain fact.  Whether the subset is
+    exactly the closed-point set is recorded on the descriptor, for
+    :func:`is_complete_representation`.
     """
 
     _fields = ("model", "subset", "henselian")
@@ -63,22 +69,42 @@ class IntersectionDescriptor(FrozenValue):
     def __init__(
         self, model: NonsingularModel, subset: SymbolicPointSet, henselian: bool = False
     ) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "henselian", _henselian_flag(henselian))
+        self.__dict__.update(
+            model=model, subset=subset, henselian=_henselian_flag(henselian)
+        )
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.subset.is_empty:
+        subset, base = self.subset, self.model.base
+        if subset.is_empty:
             raise InvalidDescriptor("the subset must name at least one point")
-        for fan in self.subset.fans:
-            if fan.base not in self.model.base:
-                raise InvalidDescriptor(
-                    f"fan base {fan.base} is not a base point of the model"
-                )
-        for p in self.subset.singles:
+        # fans and members are both in canonical order, so each fan's base
+        # is found by identity further along the members: a base that is
+        # the model's own point reads no path.  From the first base that is
+        # not, the rest are looked up by path.
+        members, by_path = base.labels_above(), {}
+        inside = True
+        complete = not subset.singles and len(subset.fans) == len(base)
+        for fan in subset.fans:
+            for member, above in members:
+                if member is fan.base:
+                    break
+            else:
+                by_path = by_path or {m.path: a for m, a in base.labels_above()}
+                above = by_path.get(fan.base.path)
+                if above is None:
+                    raise InvalidDescriptor(
+                        f"fan base {fan.base} is not a base point of the model"
+                    )
+            if fan.excluded != above:
+                complete = False
+                inside = inside and set(above) <= set(fan.excluded)
+        for p in subset.singles:
             if not self.model.contains_point(p):
                 raise InvalidDescriptor(f"{p} is not a closed point of the model")
+        if inside:
+            _antichain(subset)
+        self.__dict__["_complete"] = complete
 
 
 class Classification(FrozenValue):
@@ -114,14 +140,16 @@ class Classification(FrozenValue):
         ring_point: Point | None = None,
         singularity: str | None = None,
     ) -> None:
-        object.__setattr__(self, "maximal_ideal_count", maximal_ideal_count)
-        object.__setattr__(self, "count_basis", count_basis)
-        object.__setattr__(self, "irredundant", irredundant)
-        object.__setattr__(self, "irredundant_basis", irredundant_basis)
-        object.__setattr__(self, "essential", essential)
-        object.__setattr__(self, "essential_basis", essential_basis)
-        object.__setattr__(self, "ring_point", ring_point)
-        object.__setattr__(self, "singularity", singularity)
+        self.__dict__.update(
+            maximal_ideal_count=maximal_ideal_count,
+            count_basis=count_basis,
+            irredundant=irredundant,
+            irredundant_basis=irredundant_basis,
+            essential=essential,
+            essential_basis=essential_basis,
+            ring_point=ring_point,
+            singularity=singularity,
+        )
 
     def __str__(self) -> str:
         """One line per verdict, its basis beneath it in parentheses, then
@@ -265,20 +293,6 @@ def classify(d: IntersectionDescriptor) -> Classification:
     )
 
 
-def _common_floor(subset: SymbolicPointSet) -> Point:
-    """The deepest point lying below every member of the subset.
-
-    Every member of a fan dominates the fan's base and every single
-    dominates itself, so the meet of those floors is contained in each
-    member.
-    """
-    floors = [f.base for f in subset.fans] + list(subset.singles)
-    floor = floors[0]
-    for p in floors[1:]:
-        floor = floor.meet(p)
-    return floor
-
-
 def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
     """Does the subset intersect all the way down to the root ring?
 
@@ -288,15 +302,18 @@ def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
     Henselian base, or inside the first neighborhood of the root.  Other
     cases are left undecided.
 
-    The subset is the full closed-point set iff it has no singles and its
-    fans are the model's, one per base point in canonical order, each
+    The descriptor records, when it is built, whether the subset is the
+    full closed-point set: no singles, and one fan per base point, each
     excluding the labels of the base points directly above.
     """
     subset = d.subset
-    fans = [(fan.base, fan.excluded) for fan in subset.fans]
-    if not subset.singles and fans == list(d.model.base.labels_above()):
+    if d._complete:
         return Verdict.YES
-    if not _common_floor(subset).is_root:
+    # every member lies above its single or its fan's base, so all lie
+    # above one non-root point iff no such floor is the root and all the
+    # floors share their first label
+    heads = {p.path[:1] for p in (*subset.singles, *(f.base for f in subset.fans))}
+    if len(heads) == 1 and () not in heads:
         return Verdict.NO
     if d.henselian and subset.is_subset(d.model.closed_points()):
         return Verdict.NO

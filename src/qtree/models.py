@@ -39,13 +39,14 @@ class NonsingularModel(FrozenValue):
         neighborhood minus the directions leading to further base points.
 
         A point q is a closed point iff its parent is a base point and q
-        itself is not.
+        itself is not, so no closed point lies below another: the set is
+        recorded as an antichain.
         """
-        from .pointsets import SymbolicPointSet, _trusted_fan
+        from .pointsets import SymbolicPointSet, _antichain, _trusted_fan
 
         # one fan per member, in canonical order, its labels in label order
         fans = tuple(starmap(_trusted_fan, self.base.labels_above()))
-        return SymbolicPointSet._canonical((), fans)
+        return _antichain(SymbolicPointSet._canonical((), fans))
 
     def contains_point(self, q: Point) -> bool:
         return not q.is_root and q.parent() in self.base and q not in self.base

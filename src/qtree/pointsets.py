@@ -78,7 +78,7 @@ class SymbolicPointSet(FrozenValue):
     def __post_init__(self) -> None:
         # base path -> the fan over that base; a fan is kept as given unless
         # another part changes its excluded labels
-        fans: dict[tuple[str, ...], CofiniteFan] = {}
+        fans = {}
         for fan in self.fans:
             path = fan.base.path
             kept = fans.get(path)
@@ -91,7 +91,7 @@ class SymbolicPointSet(FrozenValue):
                 if len(common) != len(kept.excluded):
                     fans[path] = CofiniteFan(kept.base, common)
         # path -> the single on that path
-        singles: dict[tuple[str, ...], Point] = {}
+        singles = {}
         for p in self.singles:
             path = p.path
             fan = fans.get(path[:-1]) if path else None
@@ -168,10 +168,12 @@ class SymbolicPointSet(FrozenValue):
         return SymbolicPointSet(singles, fans)
 
     def minus(self, points: Iterable[Point]) -> "SymbolicPointSet":
-        """Remove finitely many points; fans grow their excluded label sets."""
+        """Remove finitely many points; fans grow their excluded label sets.
+
+        A part of a known antichain is one too, and is recorded as one."""
         removed = set(_not_a_string(points))
         # parent path -> labels of the removed points above it
-        by_parent: dict[tuple[str, ...], list[str]] = {}
+        by_parent = {}
         for p in removed:
             if p.path:
                 by_parent.setdefault(p.path[:-1], []).append(p.path[-1])
@@ -187,7 +189,8 @@ class SymbolicPointSet(FrozenValue):
             else fan
             for fan in self.fans
         )
-        return SymbolicPointSet._canonical(singles, fans)
+        result = SymbolicPointSet._canonical(singles, fans)
+        return _antichain(result) if self.__dict__.get("_is_antichain") else result
 
     def is_subset(self, other: "SymbolicPointSet") -> bool:
         for fan in self.fans:
@@ -212,8 +215,8 @@ class SymbolicPointSet(FrozenValue):
         """
         singles = {p.path for p in self.singles}
         fans = self._fan_map
-        below: dict[tuple[str, ...], bool] = {}
-        stack: list[tuple[str, ...]] = []
+        below = {}
+        stack = []
         for path in sorted(singles | fans.keys()):
             while stack and path[: len(stack[-1])] != stack[-1]:
                 stack.pop()
@@ -230,14 +233,21 @@ class SymbolicPointSet(FrozenValue):
             stack.append(path)
         return below
 
+    @cached_property
+    def _is_antichain(self) -> bool:
+        """The antichain fact: recorded by the builders of sets that are
+        antichains by construction (see :func:`_antichain`), else read off
+        the sweep."""
+        below = self._member_below
+        # a fan's base that is a single shares its path: then the sweep saw
+        # fewer paths than the set has parts
+        return len(below) == len(self.singles) + len(self.fans) and not any(below.values())
+
     def is_antichain(self) -> bool:
         """True iff no two distinct members of the set are comparable: no
         member lies below a single or a fan base, and no fan's base is a
         single."""
-        # a fan's base is hashed only where there are singles to find it in
-        return not any(self._member_below.values()) and not (
-            self.singles and any(f.base in self._single_set for f in self.fans)
-        )
+        return self._is_antichain
 
     def minimal_points(self) -> "SymbolicPointSet":
         """The members minimal under the containment order.
@@ -245,19 +255,30 @@ class SymbolicPointSet(FrozenValue):
         A single survives unless some distinct member lies strictly below it;
         a fan survives unless some member lies weakly below its base (every
         point of the fan dominates the base, so one dominated member dooms
-        the whole fan).  Parts kept in their order stay canonical.
+        the whole fan).  Parts kept in their order stay canonical.  An
+        antichain is its own set of minimal points.
         """
+        if self._is_antichain:
+            return self
         below = self._member_below
         singles = tuple(p for p in self.singles if not below[p.path])
         fans = tuple(
             f
             for f in self.fans
-            if not below[f.base.path] and f.base not in self._single_set
+            if not below[f.base.path]
+            and not (self.singles and f.base in self._single_set)
         )
-        return SymbolicPointSet._canonical(singles, fans)
+        return _antichain(SymbolicPointSet._canonical(singles, fans))
 
     def __str__(self) -> str:
         parts = [str(f) for f in self.fans]
         if self.singles:
             parts.append("{" + ", ".join(str(p) for p in self.singles) + "}")
         return " + ".join(parts) if parts else "{}"
+
+
+def _antichain(s: SymbolicPointSet) -> SymbolicPointSet:
+    """``s``, with its antichain fact recorded: its builder knows no two of
+    its members are comparable, so the sweep never runs on it."""
+    s.__dict__["_is_antichain"] = True
+    return s

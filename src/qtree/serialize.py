@@ -185,14 +185,6 @@ def model_pair_from_json(obj: Any) -> tuple[NonsingularModel, NonsingularModel]:
     return model_from_json(left), model_from_json(right)
 
 
-def descriptor_to_json(d: IntersectionDescriptor) -> dict:
-    return {
-        "model": model_to_json(d.model),
-        "subset": pointset_to_json(d.subset),
-        "henselian": d.henselian,
-    }
-
-
 def descriptor_from_json(obj: Any, henselian: bool | None = None) -> IntersectionDescriptor:
     from .intersections import IntersectionDescriptor, _henselian_flag
 

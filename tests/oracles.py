@@ -287,6 +287,16 @@ def reference_closed_points(points) -> tuple:
     return ((), tuple((b, reference_child_labels(points, b)) for b in reference_sorted(points)))
 
 
+def reference_is_full_closed_set(d) -> bool:
+    """Whether a descriptor's subset is its model's full closed-point set,
+    by the list comparison ``is_complete_representation`` made before the
+    descriptor recorded the answer: no singles, and the fans' bases and
+    excluded labels are the model's base points, each with the labels of
+    the base points directly above it, in canonical order."""
+    fans = [(fan.base, fan.excluded) for fan in d.subset.fans]
+    return not d.subset.singles and fans == list(d.model.base.labels_above())
+
+
 def reference_is_saturated(ideal) -> bool:
     """The factor support equals its downward closure, on raw paths."""
     support = {p.path for p, _ in ideal.factors}

@@ -169,22 +169,32 @@ def test_complete_representation_builds_no_set_or_fan(built):
 
 
 def test_the_sweep_runs_once_per_point_set(sweeps):
+    # closed points, a part of them and a descriptor's subset inside them
+    # are antichains by construction: no sweep runs on them
     model = _model()
     d = IntersectionDescriptor(model, model.closed_points())
     classify(d)
     assert d.subset.is_antichain()
-    minimal = d.subset.minimal_points()
-    assert minimal == d.subset
+    assert d.subset.minimal_points() is d.subset
     classify(d)
-    assert len(sweeps) == 1 and sweeps[0] is d.subset
-    # a second set of the same model: one more sweep, for it alone
-    e = IntersectionDescriptor(model, d.subset.minus([P("X", "Y", "t1", "X")]))
+    rest = d.subset.minus([P("X", "Y", "t1", "X")])
+    assert rest.is_antichain() and rest.minimal_points() is rest
+    e = IntersectionDescriptor(model, rest)
     assert not represents_same_ring(d, e)
     assert represents_same_ring(e, e)
-    assert len(sweeps) == 2 and sweeps[1] is e.subset
-    # a set derived by the sweep is a new value, with a sweep of its own
-    assert minimal.is_antichain() and minimal.minimal_points() == minimal
-    assert len(sweeps) == 3 and sweeps[2] is minimal
+    inside = SymbolicPointSet((P("X", "Y", "t1", "X"),), d.subset.fans[:2])
+    hens = IntersectionDescriptor(model, inside, henselian=True)
+    assert classify(hens).irredundant is Verdict.YES
+    assert sweeps == []
+    # a set the constructor made, queried twice: one sweep, for it alone
+    s = SymbolicPointSet((P("X"), P("X", "Y")), (CofiniteFan(P("Y")),))
+    assert not s.is_antichain() and not s.is_antichain()
+    minimal = s.minimal_points()
+    assert s.minimal_points() == minimal == SymbolicPointSet((P("X"),), (CofiniteFan(P("Y")),))
+    assert len(sweeps) == 1 and sweeps[0] is s
+    # the minimal points are an antichain by construction
+    assert minimal.is_antichain() and minimal.minimal_points() is minimal
+    assert len(sweeps) == 1
 
 
 def test_minimal_incomparable_set_validates_its_antichain_once(monkeypatch):
@@ -265,6 +275,21 @@ def test_closed_points_of_a_long_chain_read_no_path():
     # one fan over each base point, in the base set's order
     assert not closed.singles and len(closed.fans) == len(model.base)
     assert all(fan.base is p for fan, p in zip(closed.fans, model.base.sorted()))
+    assert all(_unread(p) for p in model.base if type(p) is _LinkedPoint)
+
+
+def test_classify_on_a_long_chain_runs_no_sweep_and_reads_no_path(sweeps):
+    # the closed points are recorded as an antichain when they are built,
+    # and the descriptor finds each fan's base among the model's own points
+    ideal, _, _ = _parting_chains(4000)
+    model = minimal_desingularization(ideal)
+    closed = model.closed_points()
+    d = IntersectionDescriptor(model, closed)
+    c = classify(d)
+    assert c.maximal_ideal_count == "INFINITE" and c.irredundant is Verdict.UNKNOWN
+    assert closed.minimal_points() is closed
+    assert is_complete_representation(d) is Verdict.YES
+    assert sweeps == []
     assert all(_unread(p) for p in model.base if type(p) is _LinkedPoint)
 
 

@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from conftest import P
 from qtree import (
     INFINITE,
     ROOT,
     BasePointSet,
+    CofiniteFan,
     IntersectionDescriptor,
     InvalidDescriptor,
     NonsingularModel,
+    Point,
     SymbolicPointSet,
     Verdict,
     classify,
@@ -279,3 +283,49 @@ def test_ring_identity_ignores_redundant_members():
     assert represents_same_ring(lean, padded)
     other = IntersectionDescriptor(model_of(ROOT, P("X")), fan(ROOT, "t1"))
     assert not represents_same_ring(lean, other)
+
+
+labels = st.sampled_from(["X", "Y", "A", "t1"])
+tips = st.lists(st.lists(labels, max_size=4).map(tuple), max_size=6)
+
+
+@given(tips, st.booleans(), st.data())
+def test_recorded_facts_match_the_sweep(paths, closure_made, data):
+    # a base set of given points or a closure of them; each fan's base is
+    # the model's own point or an equal one, so both ways of matching a
+    # base run
+    if closure_made:
+        base = BasePointSet.downward_closure(map(Point, paths))
+    else:
+        base = BasePointSet.of({ROOT} | {Point(p[:i]) for p in paths for i in range(len(p) + 1)})
+    model = NonsingularModel(base)
+    singles, fans = [], []
+    for member, above in base.labels_above():
+        b = member if data.draw(st.booleans()) else Point(member.path)
+        kind = data.draw(st.sampled_from(["none", "inside", "holding", "single"]))
+        if kind == "inside":
+            # every closed point over the base, or all but some of them
+            fans.append(CofiniteFan(b, above + tuple(data.draw(st.lists(labels, max_size=2)))))
+        elif kind == "holding" and above:
+            # the fan holds at least one base point directly above its base
+            kept = data.draw(st.lists(st.sampled_from(above), max_size=len(above) - 1))
+            fans.append(CofiniteFan(b, kept))
+        elif kind == "single":
+            label = data.draw(st.sampled_from(["X", "Y", "A", "t1", "t2"]))
+            if label not in above:
+                singles.append(member.child(label))
+    if data.draw(st.booleans()):
+        singles, fans = [], list(model.closed_points().fans)
+    if not singles and not fans:
+        return
+    d = IntersectionDescriptor(model, SymbolicPointSet(tuple(singles), tuple(fans)))
+    # an equal set the constructor makes, whose queries run the sweep
+    again = SymbolicPointSet(
+        d.subset.singles, tuple(CofiniteFan(f.base, f.excluded) for f in d.subset.fans)
+    )
+    assert again == d.subset
+    assert d.subset.is_antichain() is again.is_antichain()
+    assert again.is_antichain() is oracles.reference_set_antichain(again)
+    assert d.subset.minimal_points() == again.minimal_points()
+    complete = is_complete_representation(d) is Verdict.YES
+    assert complete is oracles.reference_is_full_closed_set(d)
