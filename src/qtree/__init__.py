@@ -49,13 +49,10 @@ _EXPORTS = {
     "monomial": (
         "MonomialIdeal",
         "MonomialValuation",
-        "NewtonRegion",
         "base_points",
         "factorize",
         "generators_for_ideal",
-        "minkowski_sum",
         "point_for_valuation",
-        "simple_ideal",
         "valuation_for_point",
     ),
     "points": ("ROOT", "OrderValuation", "Point", "sorted_points"),

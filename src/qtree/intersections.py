@@ -18,7 +18,6 @@ guessed, with a one-line statement of the nearest applicable fact.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Union
 
 from .errors import InvalidDescriptor
 from .models import NonsingularModel
@@ -36,11 +35,6 @@ class Verdict(str, Enum):
 
 
 INFINITE = "INFINITE"
-
-_NOETHERIAN_BASIS = (
-    "an intersection of closed points of a nonsingular projective model is a "
-    "normal Noetherian domain with all maximal ideals of height 2"
-)
 
 
 def _henselian_flag(flag: object) -> bool:
@@ -78,18 +72,25 @@ class IntersectionDescriptor(FrozenValue):
         subset, base = self.subset, self.model.base
         if subset.is_empty:
             raise InvalidDescriptor("the subset must name at least one point")
-        # fans and members are both in canonical order, so each fan's base
-        # is found by identity further along the members: a base that is
-        # the model's own point reads no path.  From the first base that is
-        # not, the rest are looked up by path.
+        # fans and members are both in canonical, level-major order, so each
+        # fan's base is found by identity further along the members, before
+        # the first member above its level: a base that is the model's own
+        # point reads no path.  From the first base not found so, that fan
+        # and every later one are looked up by path, in a table built in
+        # one pass.
         members, by_path = base.labels_above(), {}
         inside = True
         complete = not subset.singles and len(subset.fans) == len(base)
         for fan in subset.fans:
-            for member, above in members:
+            above = None
+            for member, labels in members:
                 if member is fan.base:
+                    above = labels
                     break
-            else:
+                if member.level > fan.base.level:
+                    break
+            if above is None:
+                members = ()
                 by_path = by_path or {m.path: a for m, a in base.labels_above()}
                 above = by_path.get(fan.base.path)
                 if above is None:
@@ -127,11 +128,14 @@ class Classification(FrozenValue):
         "singularity",
     )
     noetherian = True
-    noetherian_basis = _NOETHERIAN_BASIS
+    noetherian_basis = (
+        "an intersection of closed points of a nonsingular projective model is a "
+        "normal Noetherian domain with all maximal ideals of height 2"
+    )
 
     def __init__(
         self,
-        maximal_ideal_count: Union[int, str],
+        maximal_ideal_count: int | str,
         count_basis: str,
         irredundant: Verdict,
         irredundant_basis: str,
@@ -168,12 +172,6 @@ class Classification(FrozenValue):
         return "\n".join(lines)
 
 
-def _single_fan(subset: SymbolicPointSet):
-    if len(subset.fans) == 1 and not subset.singles:
-        return subset.fans[0]
-    return None
-
-
 # Named examples, not a criterion: name -> (model base set, subset).  A
 # descriptor is named only when its base set and subset equal an entry's, so
 # an equivalent descriptor written over another model gets no name.
@@ -192,12 +190,12 @@ def classify(d: IntersectionDescriptor) -> Classification:
     it is set only for a descriptor equal to one of them.
     """
     subset = d.subset
-    antichain = subset.is_antichain()
-    fan = _single_fan(subset)
+    # the one fan of a subset that is a single fan, else None
+    fan = subset.fans[0] if len(subset.fans) == 1 and not subset.singles else None
 
     if subset.is_finite:
         n = len(subset.singles)
-        count: Union[int, str] = n
+        count: int | str = n
         count_basis = (
             f"a finite family of {n} pairwise incomparable points intersects to a "
             f"semilocal regular ring with exactly {n} maximal ideals"
@@ -209,7 +207,7 @@ def classify(d: IntersectionDescriptor) -> Classification:
             "per member, and first neighborhoods are infinite"
         )
 
-    if not antichain:
+    if not subset.is_antichain():
         irredundant = Verdict.NO
         irredundant_basis = (
             "the subset has comparable members; every non-minimal member "

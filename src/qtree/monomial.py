@@ -128,9 +128,24 @@ class MonomialIdeal(FrozenValue):
         self._require_m_primary()
         return min(a + b for a, b in self.gens)
 
-    def newton_region(self) -> "NewtonRegion":
+    def newton_region(self) -> tuple[Exponent, ...]:
+        """The vertices of the Newton polygon, from the y-axis to the x-axis.
+
+        The x-coordinates strictly increase and the edge slopes strictly
+        increase along the way; the region on and above the polygon is
+        exactly the exponent set of the integral closure.  The generators
+        are already sorted by x-exponent, so the lower hull is one pass.
+        """
         self._require_m_primary()
-        return NewtonRegion.from_ideal(self)
+        hull: list[Exponent] = []
+        for a, b in self.gens:
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                if (x2 - x1) * (b - y1) - (y2 - y1) * (a - x1) > 0:
+                    break
+                hull.pop()
+            hull.append((a, b))
+        return tuple(hull)
 
     def integral_closure(self) -> "MonomialIdeal":
         """All lattice points on or above the Newton polygon; idempotent.
@@ -140,7 +155,7 @@ class MonomialIdeal(FrozenValue):
         """
         if self._complete:
             return self
-        return _closure_of_polygon(self.newton_region().vertices)
+        return _closure_of_polygon(self.newton_region())
 
     @property
     def is_complete(self) -> bool:
@@ -220,70 +235,6 @@ class MonomialIdeal(FrozenValue):
             b = int(m.group(2)) if m.group(2) else (1 if "y" in term else 0)
             gens.append((a, b))
         return cls(tuple(gens))
-
-
-class NewtonEdge(FrozenValue):
-    """A compact edge of a Newton polygon.
-
-    ``normal`` is the primitive inward normal (p, q), both entries positive
-    and coprime; ``lattice_length`` is the number of lattice segments on the
-    edge, which is the multiplicity of the corresponding simple factor.
-    """
-
-    _fields = ("start", "end", "normal", "lattice_length")
-
-    def __init__(
-        self, start: Exponent, end: Exponent, normal: tuple[int, int], lattice_length: int
-    ) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "lattice_length", lattice_length)
-
-
-class NewtonRegion(FrozenValue):
-    """The Newton polygon of an m-primary monomial ideal.
-
-    Vertices run from the y-axis to the x-axis with strictly increasing
-    x-coordinate; edge normals (p, q) strictly increase in slope q/p along
-    the way.  The region above the polygon is exactly the exponent set of
-    the integral closure.
-    """
-
-    _fields = ("vertices", "edges")
-
-    def __init__(
-        self, vertices: tuple[Exponent, ...], edges: tuple[NewtonEdge, ...]
-    ) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def from_ideal(cls, ideal: MonomialIdeal) -> "NewtonRegion":
-        pts = sorted(ideal.gens)
-        hull: list[Exponent] = []
-        for p in pts:
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                cross = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
-                if cross <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        edges = []
-        for (a1, b1), (a2, b2) in zip(hull, hull[1:]):
-            da, db = a2 - a1, b1 - b2
-            g = math.gcd(da, db)
-            edges.append(
-                NewtonEdge(
-                    start=(a1, b1),
-                    end=(a2, b2),
-                    normal=(db // g, da // g),
-                    lattice_length=g,
-                )
-            )
-        return cls(vertices=tuple(hull), edges=tuple(edges))
 
 
 class MonomialValuation(FrozenValue):
@@ -368,12 +319,6 @@ def valuation_for_point(point: Point) -> MonomialValuation:
     return MonomialValuation(p, q)
 
 
-def simple_ideal(v: MonomialValuation) -> MonomialIdeal:
-    """The simple complete ideal of v: the closure of {p*a + q*b >= p*q},
-    whose polygon is the one edge from (0, p) to (q, 0)."""
-    return _closure_of_polygon(((0, v.p), (v.q, 0)))
-
-
 def base_points(ideal: MonomialIdeal) -> BasePointSet:
     """All points where some transform of the ideal stays proper.
 
@@ -391,18 +336,19 @@ def base_points(ideal: MonomialIdeal) -> BasePointSet:
 def factorize(ideal: MonomialIdeal) -> CompleteIdeal:
     """Unique factorization into simple complete ideals, one per edge.
 
-    Each compact edge of the Newton polygon, with primitive normal (p, q)
-    and lattice length k, contributes the simple ideal of the valuation
-    (p, q) with multiplicity k; the product of the factors' closures is the
-    original ideal again.
+    Each compact edge of the Newton polygon, from (a1, b1) to (a2, b2),
+    has lattice length k = gcd(a2 - a1, b1 - b2) and primitive inward
+    normal (p, q) = ((b1 - b2) / k, (a2 - a1) / k), and contributes the
+    simple ideal of the valuation (p, q) with multiplicity k; the product
+    of the factors' closures is the original ideal again.
     """
     ideal._require_complete()
+    vertices = ideal.newton_region()
     factors: list[tuple[Point, int]] = []
-    for edge in ideal.newton_region().edges:
-        p, q = edge.normal
-        factors.append(
-            (point_for_valuation(MonomialValuation(p, q)), edge.lattice_length)
-        )
+    for (a1, b1), (a2, b2) in zip(vertices, vertices[1:]):
+        k = math.gcd(a2 - a1, b1 - b2)
+        v = MonomialValuation((b1 - b2) // k, (a2 - a1) // k)
+        factors.append((point_for_valuation(v), k))
     return _complete_ideal(tuple(factors))
 
 
@@ -496,20 +442,3 @@ def _closure_of_polygon(vertices: tuple[Exponent, ...]) -> MonomialIdeal:
     fields["gens"] = tuple(gens)
     fields["_complete"] = True
     return closed
-
-
-def minkowski_sum(r1: NewtonRegion, r2: NewtonRegion) -> tuple[Exponent, ...]:
-    """Vertices of the Minkowski sum of two Newton regions.
-
-    Walk from the sum of the two top vertices, laying down the edge vectors
-    of both polygons in increasing slope order and fusing parallel runs.
-    The Newton region of a product of ideals has exactly these vertices.
-    """
-    start = (
-        r1.vertices[0][0] + r2.vertices[0][0],
-        r1.vertices[0][1] + r2.vertices[0][1],
-    )
-    steps = [
-        (e.end[0] - e.start[0], e.end[1] - e.start[1]) for e in r1.edges + r2.edges
-    ]
-    return _lay_edges(start, steps)

@@ -297,7 +297,7 @@ class OrderValuation(FrozenValue):
 # the point sets live in ``pointsets``, which only the callers that build a
 # set load; callers that read them here get them too, each stored on first
 # read so that a caller reading one per fan does a plain lookup after that
-_MOVED = ("CofiniteFan", "SymbolicPointSet", "_trusted_fan")
+_MOVED = ("CofiniteFan", "SymbolicPointSet")
 
 
 def __getattr__(name: str):

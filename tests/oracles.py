@@ -106,6 +106,12 @@ def staircase_hull(gens: Iterable[Pair]) -> list[Pair]:
     return hull
 
 
+def minkowski_sum(v1: tuple[Pair, ...], v2: tuple[Pair, ...]) -> tuple[Pair, ...]:
+    """Vertices of the Minkowski sum of two Newton polygons given by their
+    vertices: the lower hull of every sum of a vertex of each."""
+    return tuple(staircase_hull((a1 + a2, b1 + b2) for a1, b1 in v1 for a2, b2 in v2))
+
+
 def max_edge_span(gens: Iterable[Pair]) -> int:
     """Largest coordinate span of a hull edge; witnesses need k up to this."""
     hull = staircase_hull(gens)

@@ -293,6 +293,29 @@ def test_classify_on_a_long_chain_runs_no_sweep_and_reads_no_path(sweeps):
     assert all(_unread(p) for p in model.base if type(p) is _LinkedPoint)
 
 
+def test_a_descriptor_over_decoded_bases_walks_the_members_once(monkeypatch):
+    # the root's fan, read from paths, is not the model's own root: its
+    # identity scan stops at the first member above level 0, and every fan
+    # is then looked up in the path table, built in one pass
+    ideal, _, _ = _parting_chains(300)
+    model = minimal_desingularization(ideal)
+    fans = model.closed_points().fans
+    decoded = SymbolicPointSet(
+        fans=tuple(CofiniteFan(Point(f.base.path), f.excluded) for f in fans)
+    )
+    read = []
+
+    def labels_above(self, walk=BasePointSet.labels_above):
+        for item in walk(self):
+            read.append(item)
+            yield item
+
+    monkeypatch.setattr(BasePointSet, "labels_above", labels_above)
+    d = IntersectionDescriptor(model, decoded)
+    assert is_complete_representation(d) is Verdict.YES
+    assert len(read) == 2 + len(model.base)
+
+
 def test_minus_reads_only_the_fan_bases_it_changes():
     _, first, second = _parting_chains(4000)
     result = minimal_incomparable_set([Point(first), Point(second)])

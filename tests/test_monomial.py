@@ -20,14 +20,29 @@ from qtree import (
     base_points,
     factorize,
     generators_for_ideal,
-    minkowski_sum,
     point_for_valuation,
-    simple_ideal,
     valuation_for_point,
 )
 from oracles import seeded_rng
 
 M = MonomialIdeal.of
+
+
+def simple_ideal(v):
+    """The simple complete ideal of v(p, q): the closure of (x^q, y^p)."""
+    return M((v.q, 0), (0, v.p)).integral_closure()
+
+
+def edges(vertices):
+    """Each edge between consecutive vertices as (primitive inward normal,
+    lattice length), the length counted as the lattice points on the edge
+    past its start."""
+    found = []
+    for (a1, b1), (a2, b2) in zip(vertices, vertices[1:]):
+        da, db = a2 - a1, b1 - b2
+        k = sum(db * j % da == 0 for j in range(1, da + 1))
+        found.append(((db // k, da // k), k))
+    return found
 
 
 class TestMonomialIdeal:
@@ -132,11 +147,11 @@ class TestIntegralClosure:
                 i.integral_closure() * j.integral_closure()
             ).integral_closure() == product
             # the product polygon is the Minkowski sum of the two polygons
-            summed = minkowski_sum(
+            summed = oracles.minkowski_sum(
                 i.integral_closure().newton_region(),
                 j.integral_closure().newton_region(),
             )
-            assert product.newton_region().vertices == summed
+            assert product.newton_region() == summed
 
 
 def m_primary_gens(x_max, y_max):
@@ -283,26 +298,50 @@ class TestGeneratorsEdgeWalk:
 
 class TestNewtonRegion:
     def test_vertices_and_edges(self):
-        region = MonomialIdeal.from_text("x^4, x^2 y, x y^2, y^4").newton_region()
-        assert region.vertices == ((0, 4), (1, 2), (2, 1), (4, 0))
-        assert [e.normal for e in region.edges] == [(2, 1), (1, 1), (1, 2)]
-        assert [e.lattice_length for e in region.edges] == [1, 1, 1]
+        ideal = MonomialIdeal.from_text("x^4, x^2 y, x y^2, y^4")
+        assert ideal.newton_region() == ((0, 4), (1, 2), (2, 1), (4, 0))
+        assert edges(ideal.newton_region()) == [((2, 1), 1), ((1, 1), 1), ((1, 2), 1)]
+        # v(2, 1), v(1, 1) and v(1, 2) name Y, the root and X
+        assert factorize(ideal) == CompleteIdeal.of([P("Y"), ROOT, P("X")])
 
     def test_collinear_generators_are_not_vertices(self):
-        region = M((4, 0), (2, 2), (0, 4)).newton_region()
-        assert region.vertices == ((0, 4), (4, 0))
-        assert region.edges[0].lattice_length == 4
+        ideal = M((4, 0), (2, 2), (0, 4))
+        assert ideal.newton_region() == ((0, 4), (4, 0))
+        assert edges(ideal.newton_region()) == [((1, 1), 4)]
+        assert factorize(ideal.integral_closure()) == CompleteIdeal.of({ROOT: 4})
 
     def test_slopes_of_normals_increase(self):
         rng = seeded_rng(default=99)
         for _ in range(80):
-            region = (
-                M(*oracles.random_m_primary_gens(rng)).integral_closure().newton_region()
-            )
-            slopes = [e.normal[1] / e.normal[0] for e in region.edges]
+            closed = M(*oracles.random_m_primary_gens(rng)).integral_closure()
+            vertices = closed.newton_region()
+            slopes = [q / p for (p, q), _ in edges(vertices)]
             assert slopes == sorted(slopes)
             assert all(s > 0 for s in slopes)
-            assert region.vertices[0][0] == 0 and region.vertices[-1][1] == 0
+            assert vertices[0][0] == 0 and vertices[-1][1] == 0
+
+    def test_requires_m_primary(self):
+        with pytest.raises(NotMPrimary):
+            M((1, 1), (0, 2)).newton_region()
+
+    @given(m_primary_gens(30, 30))
+    def test_polygon_is_the_hull_and_its_edges_are_the_factors(self, gens):
+        ideal = MonomialIdeal(gens)
+        vertices = ideal.newton_region()
+        assert vertices == tuple(oracles.staircase_hull(gens))
+        # the edge slopes db / da strictly increase, compared exactly
+        steps = [(a2 - a1, b2 - b1) for (a1, b1), (a2, b2) in zip(vertices, vertices[1:])]
+        for (da1, db1), (da2, db2) in zip(steps, steps[1:]):
+            assert db1 * da2 < db2 * da1
+        closed = ideal.integral_closure()
+        assert closed.newton_region() == vertices
+        expected = [
+            (point_for_valuation(MonomialValuation(*normal)), k)
+            for normal, k in edges(vertices)
+        ]
+        factored = factorize(closed)
+        assert len(factored.factors) == len(expected)
+        assert factored == CompleteIdeal.of(dict(expected))
 
 
 class TestQuadraticTransform:
@@ -413,14 +452,11 @@ class TestFactorize:
         rng = seeded_rng(default=21)
         for _ in range(40):
             ideal = M(*oracles.random_m_primary_gens(rng)).integral_closure()
-            region = ideal.newton_region()
-            from_edges = {
-                point_for_valuation(MonomialValuation(*e.normal))
-                for e in region.edges
-            }
+            normals = [normal for normal, _ in edges(ideal.newton_region())]
+            from_edges = {point_for_valuation(MonomialValuation(*n)) for n in normals}
             factored = factorize(ideal)
             assert {v.center for v in factored.rees_valuations()} == from_edges
-            assert len(factored.support) == len(region.edges)
+            assert len(factored.support) == len(normals)
 
 
 class TestEuclidCorrespondence:
