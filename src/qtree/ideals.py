@@ -28,9 +28,9 @@ from .points import (
     Point,
     _common_prefix_length,
     _is_int,
+    _label_rank,
     _not_a_string,
     _point_above,
-    label_key,
     sorted_points,
 )
 
@@ -53,8 +53,7 @@ def _closed(points):
     in label order, so their canonical order is that order sorted by level.
     """
     points = [ROOT, *points]
-    alphabet = sorted(set().union(*map(_path, points)), key=label_key)
-    rank = dict(zip(alphabet, range(len(alphabet)))).get
+    rank = _label_rank(map(_path, points))
     points.sort(key=lambda p: tuple(map(rank, p.path)))
     members, labels, levels, counts = [ROOT], [None], [0], [0]
     along, last = [0], ()  # the indices of the members on the last path, and it
@@ -185,6 +184,8 @@ class CompleteIdeal(FrozenValue):
     def __post_init__(self) -> None:
         counts: Counter[Point] = Counter()
         for point, mult in self.factors:
+            if not isinstance(point, Point):
+                raise ValueError("ideal factors must be points")
             if not _is_int(mult):
                 raise ValueError("factor multiplicities must be integers")
             if mult < 1:

@@ -48,6 +48,27 @@ def _not_a_string(values):
     return values
 
 
+def _labels(labels):
+    """``labels`` as a tuple (a tuple as it is), refused unless it is a
+    sequence of nonempty strings."""
+    if not isinstance(labels, tuple):
+        labels = tuple(_not_a_string(labels))
+    try:
+        "".join(labels)  # refuses a label that is not a string, in C
+        if "" not in labels:
+            return labels
+    except TypeError:
+        pass
+    raise ValueError(_BAD_LABEL)
+
+
+def _label_rank(paths):
+    """The rank in label order of each label on ``paths``: ``label_key``
+    is applied once per distinct label, not once per label of a path."""
+    labels = sorted(set().union(*paths), key=label_key)
+    return dict(zip(labels, range(len(labels)))).__getitem__
+
+
 def _is_int(value: object) -> bool:
     """An integer: bools, which Python counts as ints (and JSON's ``true``
     and ``false`` decode to), are refused."""
@@ -117,13 +138,8 @@ class Point(FrozenValue):
         return NotImplemented
 
     def __post_init__(self) -> None:
-        path = self.path
-        if not isinstance(path, tuple):
-            path = tuple(_not_a_string(path))
-            _set_path(self, path)
-        for label in path:
-            if not isinstance(label, str) or not label:
-                raise ValueError(_BAD_LABEL)
+        path = _labels(self.path)
+        _set_path(self, path)
         _set_hash(self, hash(path))
 
     def __hash__(self) -> int:
@@ -164,9 +180,7 @@ class Point(FrozenValue):
 
     def child(self, label: str) -> "Point":
         """The first-neighborhood point of this one in the given direction."""
-        if not isinstance(label, str) or not label:
-            raise ValueError(_BAD_LABEL)
-        return _trusted_point(self.path + (label,), self)
+        return _trusted_point(self.path + _labels((label,)), self)
 
     def chain(self) -> tuple["Point", ...]:
         """The unique chain from the root to this point, both ends included."""
@@ -275,7 +289,11 @@ ROOT = Point()
 
 def sorted_points(points: Iterable[Point]) -> tuple[Point, ...]:
     """Points in canonical order: by level, then by path label order."""
-    return tuple(sorted(points, key=Point.sort_key))
+    points = tuple(points)
+    if len(points) < 2:
+        return points
+    rank = _label_rank(p.path for p in points)
+    return tuple(sorted(points, key=lambda p: (p.level, tuple(map(rank, p.path)))))
 
 
 class OrderValuation(FrozenValue):

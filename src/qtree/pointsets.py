@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .points import _BAD_LABEL, FrozenValue, Point, _new, _not_a_string, label_key
+from .points import FrozenValue, Point, _label_rank, _labels, _new, _not_a_string, label_key
 
 
 class CofiniteFan(FrozenValue):
@@ -26,10 +26,7 @@ class CofiniteFan(FrozenValue):
     _fields = ("base", "excluded")
 
     def __init__(self, base: Point, excluded: Iterable[str] = ()) -> None:
-        excluded = tuple(_not_a_string(excluded))
-        for label in excluded:
-            if not isinstance(label, str) or not label:
-                raise ValueError(_BAD_LABEL)
+        excluded = _labels(excluded)
         if len(excluded) > 1:
             excluded = tuple(sorted(set(excluded), key=label_key))
         fields = self.__dict__
@@ -100,9 +97,8 @@ class SymbolicPointSet(FrozenValue):
             elif path[-1] in fan.excluded:
                 excluded = tuple(l for l in fan.excluded if l != path[-1])
                 fans[path[:-1]] = CofiniteFan(fan.base, excluded)
-        # ``Point.sort_key`` order, with each distinct label ranked once
-        labels = sorted(set().union(*singles, *fans), key=label_key)
-        rank = dict(zip(labels, range(len(labels)))).__getitem__
+        # ``Point.sort_key`` order
+        rank = _label_rank((*singles, *fans))
 
         def key(path: tuple[str, ...]) -> tuple:
             return len(path), tuple(map(rank, path))
@@ -193,11 +189,8 @@ class SymbolicPointSet(FrozenValue):
         return _antichain(result) if self.__dict__.get("_is_antichain") else result
 
     def is_subset(self, other: "SymbolicPointSet") -> bool:
-        for fan in self.fans:
-            cover = other._fan_map.get(fan.base.path)
-            if cover is None or not set(cover) <= set(fan.excluded):
-                return False
-        return all(p in other for p in self.singles)
+        # equal sets have one canonical form
+        return self.union(other) == other
 
     @cached_property
     def _member_below(self) -> dict[tuple[str, ...], bool]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR, label_key
+from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR, _labels, _trusted_point, label_key
 
 DEFAULT_ALPHABET = (X_DIR, Y_DIR, "t1", "t2")
 
@@ -37,10 +37,13 @@ class TruncatedTree(FrozenValue):
         # label order: canonical order with no sort; and each point is made
         # from its parent, so it holds it
         labels = sorted(self.alphabet, key=label_key)
+        levels = range(self.max_level)
+        if levels:  # checked once, and never for the root alone
+            labels = _labels(labels)
         pts = [ROOT]
         level = [ROOT]
-        for _ in range(self.max_level):
-            level = [p.child(label) for p in level for label in labels]
+        for _ in levels:
+            level = [_trusted_point(p.path + (label,), p) for p in level for label in labels]
             pts.extend(level)
         return tuple(pts)
 

@@ -149,9 +149,17 @@ def test_saturate():
             lambda: CompleteIdeal.simple(P("X")).power(0),
             "only positive powers are meaningful here",
         ),
+        # the canonical sort reads no point of a one-factor ideal, so the
+        # constructor checks each factor itself
+        (lambda: CompleteIdeal((("X", 1),)), "ideal factors must be points"),
+        (
+            lambda: CompleteIdeal(((P("X"), 1), (("X",), 2))),
+            "ideal factors must be points",
+        ),
     ],
     ids=["float-mult", "bool-mult", "integral-float-mult", "zero-mult", "float-power",
-         "float-power-of-unit", "bool-power", "zero-power"],
+         "float-power-of-unit", "bool-power", "zero-power", "string-factor",
+         "path-factor-second-of-two"],
 )
 def test_multiplicities_and_powers_are_positive_integers(build, message):
     # a float used to be kept, and printed as X^1.5

@@ -18,6 +18,7 @@ from qtree import (
 )
 from oracles import TruncatedTree
 from qtree.points import label_key
+from qtree.serialize import point_from_json, pointset_from_json
 
 # "X1" sorts between "X" and "Y" as a plain string, but after both in
 # canonical label order
@@ -72,8 +73,44 @@ def test_is_antichain():
 
 
 def test_constructors_check_and_normalize_their_input():
-    with pytest.raises(ValueError, match="^direction labels must be nonempty strings$"):
-        Point(("a", None))
+    # every way a label enters the library refuses the same bad labels the
+    # same way
+    for label in ("", 3, True, b"X", None):
+        for make in (
+            lambda: Point(("a", label)),
+            lambda: P("X").child(label),
+            lambda: CofiniteFan(ROOT, ("t1", label)),
+            lambda: TruncatedTree(("X", label), 1).points,
+            lambda: point_from_json({"path": ["a", label]}),
+            lambda: pointset_from_json(
+                {"cofinite": [{"base": {"path": []}, "excluded": ["t1", label]}]}
+            ),
+        ):
+            with pytest.raises(ValueError, match="^direction labels must be nonempty strings$"):
+                make()
+    # a bare string is refused where a label sequence is taken, is one
+    # label for ``child``, spells an alphabet letter by letter, and is no
+    # JSON list
+    for make in (lambda: Point("XY"), lambda: CofiniteFan(ROOT, "XY")):
+        with pytest.raises(ValueError, match="^labels come as a sequence of strings, not as one string$"):
+            make()
+    assert P("X").child("XY").path == ("X", "XY")
+    assert TruncatedTree("YX", 1).points == (ROOT, P("X"), P("Y"))
+    with pytest.raises(ValueError, match="^a point path is a list of label strings$"):
+        point_from_json({"path": "XY"})
+    # a truncation to the root alone reads no label
+    assert TruncatedTree(("",), 0).points == (ROOT,)
+
+    class Label(str):
+        pass
+
+    class Path(tuple):
+        pass
+
+    path = Path(("X", Label("t1")))
+    assert Point(path).path is path
+    assert P("X").child(Label("t1")) == P("X", "t1")
+    assert CofiniteFan(ROOT, (Label("t1"), "X")).excluded == ("X", "t1")
     made = Point(["X", "Y"])
     assert made.path == ("X", "Y") and type(made.path) is tuple
     # a fan with one bad excluded label: test_fan_refuses_an_empty_excluded_label
@@ -198,6 +235,9 @@ def test_sorted_points_orders_reserved_labels_first():
         P("X", "Y"),
         P("X", "t1"),
     )
+    # fewer than two points are in order as they come
+    assert sorted_points(iter([P("t1")])) == (P("t1"),)
+    assert sorted_points(()) == ()
 
 
 class TestSymbolicPointSet:
