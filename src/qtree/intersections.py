@@ -48,13 +48,13 @@ class IntersectionDescriptor(FrozenValue):
     """A subset of the closed points of a nonsingular model.
 
     The Henselian flag must be a bool.  Validity is checked atom by atom:
-    every fan must be based at a base point of the model, and every single
+    every fan must be based at a base point of the model and exclude the
+    labels of the base points directly above its base, and every single
     must be a closed point of it.  The check walks the fans and the model's
     base points together, both in canonical order, and records two facts.
-    When every fan excludes the labels of the base points directly above
-    its base, the subset lies inside the closed points, an antichain, and
-    the subset records that as its antichain fact.  Whether the subset is
-    exactly the closed-point set is recorded on the descriptor, for
+    The subset lies inside the closed points, an antichain, and records
+    that as its antichain fact.  Whether the subset is exactly the
+    closed-point set is recorded on the descriptor, for
     :func:`is_complete_representation`.
     """
 
@@ -79,7 +79,6 @@ class IntersectionDescriptor(FrozenValue):
         # and every later one are looked up by path, in a table built in
         # one pass.
         members, by_path = base.labels_above(), {}
-        inside = True
         complete = not subset.singles and len(subset.fans) == len(base)
         for fan in subset.fans:
             above = None
@@ -99,12 +98,15 @@ class IntersectionDescriptor(FrozenValue):
                     )
             if fan.excluded != above:
                 complete = False
-                inside = inside and set(above) <= set(fan.excluded)
+                for label in above:
+                    if label not in fan.excluded:
+                        raise InvalidDescriptor(
+                            f"fan {fan} holds the base point {fan.base.child(label)}"
+                        )
         for p in subset.singles:
             if not self.model.contains_point(p):
                 raise InvalidDescriptor(f"{p} is not a closed point of the model")
-        if inside:
-            _antichain(subset)
+        _antichain(subset)
         self.__dict__["_complete"] = complete
 
 
@@ -207,14 +209,7 @@ def classify(d: IntersectionDescriptor) -> Classification:
             "per member, and first neighborhoods are infinite"
         )
 
-    if not subset.is_antichain():
-        irredundant = Verdict.NO
-        irredundant_basis = (
-            "the subset has comparable members; every non-minimal member "
-            "contains a minimal one and can be dropped without changing the "
-            "intersection"
-        )
-    elif subset.is_finite:
+    if subset.is_finite:
         irredundant = Verdict.YES
         irredundant_basis = (
             "each member of a finite incomparable family is the localization "
@@ -302,7 +297,8 @@ def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
 
     The descriptor records, when it is built, whether the subset is the
     full closed-point set: no singles, and one fan per base point, each
-    excluding the labels of the base points directly above.
+    excluding the labels of the base points directly above.  Every other
+    subset is a proper part of the closed points.
     """
     subset = d.subset
     if d._complete:
@@ -313,10 +309,10 @@ def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
     heads = {p.path[:1] for p in (*subset.singles, *(f.base for f in subset.fans))}
     if len(heads) == 1 and () not in heads:
         return Verdict.NO
-    if d.henselian and subset.is_subset(d.model.closed_points()):
+    if d.henselian:
         return Verdict.NO
-    root_fan = SymbolicPointSet.fan(ROOT)
-    if subset.is_subset(root_fan) and subset != root_fan:
+    # a part of Q1(D): the whole of it is the blowup's closed-point set
+    if all(p.level == 1 for p in subset.singles) and all(f.base.is_root for f in subset.fans):
         return Verdict.NO
     return Verdict.UNKNOWN
 
@@ -327,9 +323,9 @@ def represents_same_ring(
     """Whether two descriptors name the same ring, up to what the calculus
     can see.
 
-    Non-minimal members never change an intersection, so the ring is known
-    by the minimal-point set together with the completeness verdict.
+    A descriptor's subset is an antichain, its own minimal-point set, so
+    the ring is known by the subset together with the completeness verdict.
     """
-    return a.subset.minimal_points() == b.subset.minimal_points() and (
+    return a.subset == b.subset and (
         is_complete_representation(a) == is_complete_representation(b)
     )

@@ -26,6 +26,8 @@ class CofiniteFan(FrozenValue):
     _fields = ("base", "excluded")
 
     def __init__(self, base: Point, excluded: Iterable[str] = ()) -> None:
+        if not isinstance(base, Point):
+            raise ValueError("a fan's base must be a point")
         excluded = _labels(excluded)
         if len(excluded) > 1:
             excluded = tuple(sorted(set(excluded), key=label_key))
@@ -187,10 +189,6 @@ class SymbolicPointSet(FrozenValue):
         )
         result = SymbolicPointSet._canonical(singles, fans)
         return _antichain(result) if self.__dict__.get("_is_antichain") else result
-
-    def is_subset(self, other: "SymbolicPointSet") -> bool:
-        # equal sets have one canonical form
-        return self.union(other) == other
 
     @cached_property
     def _member_below(self) -> dict[tuple[str, ...], bool]:

@@ -327,6 +327,20 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "classify", bad_descriptor)
     assert code == 1
     assert err.startswith("InvalidDescriptor:")
+    # a descriptor names closed points only: a fan holding a base point is
+    # refused
+    holding = json.dumps(
+        {
+            "model": {"base": [{"path": []}, {"path": ["X"]}]},
+            "subset": {"singles": [{"path": ["X", "Y"]}], "cofinite": [{"base": {"path": []}}]},
+        }
+    )
+    for flags in ((), ("--pretty",)):
+        assert run(capsys, "classify", holding, *flags) == (
+            1,
+            "",
+            "InvalidDescriptor: fan Q1(D) holds the base point X\n",
+        )
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ EX111_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["X"]},{"path":["Y"]}]
 FAN_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["Y"]}]},"subset":{"singles":[],"cofinite":[{"base":{"path":[]},"excluded":["Y"]},{"base":{"path":["Y"]},"excluded":[]}]}}'
 ROOT_FAN_DESCRIPTOR = '{"model":{"base":[{"path":[]}]},"subset":{"cofinite":[{"base":{"path":[]}}]}}'
 DOUBLE_POINT_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["Y"]}]},"subset":{"singles":[{"path":["Y","X"]}],"cofinite":[{"base":{"path":[]},"excluded":["Y"]}]}}'
-COMPARABLE_DESCRIPTOR = '{"model":{"base":[{"path":[]},{"path":["X"]}]},"subset":{"singles":[{"path":["X","Y"]}],"cofinite":[{"base":{"path":[]}}]}}'
 GENS = 'x^4, x^2 y, x y^2, y^4'
 VALUATION = '{"p":1,"q":2}'
 
@@ -73,8 +72,6 @@ GOLDEN = {
     "classify root fan --pretty": (("classify", ROOT_FAN_DESCRIPTOR, "--pretty"), 0, 'noetherian: YES\n  (an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2)\nmaximalIdealCount: INFINITE\n  (a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite)\nirredundant: YES\n  (the full first neighborhood of the root represents the root ring irredundantly)\nessential: NO\n  (a full first neighborhood intersects to the point beneath it, and no member is a localization of that local ring)\nringPoint: D\n'),
     "classify double point": (("classify", DOUBLE_POINT_DESCRIPTOR), 0, '{"essential": "UNKNOWN", "essentialBasis": "essentiality of mixed infinite families is outside the implemented criteria", "irredundant": "UNKNOWN", "irredundantBasis": "irredundance of general infinite families over a non-Henselian base is outside the implemented criteria", "maximalIdealCount": "INFINITE", "maximalIdealCountBasis": "a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite", "noetherian": "YES", "noetherianBasis": "an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2", "ringPoint": null, "schema": "qtree/1", "singularity": "ordinary double point"}\n'),
     "classify double point --pretty": (("classify", DOUBLE_POINT_DESCRIPTOR, "--pretty"), 0, 'noetherian: YES\n  (an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2)\nmaximalIdealCount: INFINITE\n  (a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite)\nirredundant: UNKNOWN\n  (irredundance of general infinite families over a non-Henselian base is outside the implemented criteria)\nessential: UNKNOWN\n  (essentiality of mixed infinite families is outside the implemented criteria)\nsingularity: ordinary double point\n'),
-    "classify comparable": (("classify", COMPARABLE_DESCRIPTOR), 0, '{"essential": "UNKNOWN", "essentialBasis": "essentiality of mixed infinite families is outside the implemented criteria", "irredundant": "NO", "irredundantBasis": "the subset has comparable members; every non-minimal member contains a minimal one and can be dropped without changing the intersection", "maximalIdealCount": "INFINITE", "maximalIdealCountBasis": "a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite", "noetherian": "YES", "noetherianBasis": "an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2", "ringPoint": null, "schema": "qtree/1", "singularity": null}\n'),
-    "classify comparable --pretty": (("classify", COMPARABLE_DESCRIPTOR, "--pretty"), 0, 'noetherian: YES\n  (an intersection of closed points of a nonsingular projective model is a normal Noetherian domain with all maximal ideals of height 2)\nmaximalIdealCount: INFINITE\n  (a cofinite first-neighborhood fan contributes one maximal ideal per member, and first neighborhoods are infinite)\nirredundant: NO\n  (the subset has comparable members; every non-minimal member contains a minimal one and can be dropped without changing the intersection)\nessential: UNKNOWN\n  (essentiality of mixed infinite families is outside the implemented criteria)\n'),
 }
 
 

@@ -159,12 +159,18 @@ def test_is_antichain_builds_no_set_or_fan(built, make, antichain):
 
 
 def test_complete_representation_builds_no_set_or_fan(built):
-    # the full closed-point set is recognised from the model's base index
+    # the full closed-point set is recognised from the model's base index,
+    # and a proper part of it, Henselian or inside Q1(D), from its parts
     model = _model()
-    d = IntersectionDescriptor(model, model.closed_points())
+    closed = model.closed_points()
+    d = IntersectionDescriptor(model, closed)
+    hens = IntersectionDescriptor(model, SymbolicPointSet(fans=closed.fans[:2]), henselian=True)
+    root = IntersectionDescriptor(model, SymbolicPointSet.of_points([P("t1"), P("t2")]))
     built[SymbolicPointSet].clear()
     built[CofiniteFan].clear()
     assert is_complete_representation(d) is Verdict.YES
+    assert is_complete_representation(hens) is Verdict.NO
+    assert is_complete_representation(root) is Verdict.NO
     assert built == {SymbolicPointSet: [], CofiniteFan: []}
 
 

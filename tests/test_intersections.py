@@ -107,13 +107,6 @@ class TestClassify:
         d_proper = IntersectionDescriptor(model, fan(P("X"), "Y"))
         assert classify(d_proper).essential is Verdict.YES
 
-    def test_comparable_members_are_redundant(self):
-        subset = fan(ROOT).union(singles(P("X", "Y")))
-        d = IntersectionDescriptor(model_of(ROOT, P("X")), subset)
-        c = classify(d)
-        assert c.irredundant is Verdict.NO
-        assert c.maximal_ideal_count == INFINITE
-
     def test_henselian_upgrades_infinite_antichains(self):
         subset = fan(ROOT, "Y").union(fan(P("Y")))
         plain = IntersectionDescriptor(DOUBLE_POINT_MODEL, subset, henselian=False)
@@ -231,14 +224,15 @@ class TestMinimalPoints:
 
     def test_fan_absorbs_deeper_single(self):
         subset = fan(ROOT).union(singles(P("X", "Y")))
-        d = IntersectionDescriptor(model_of(ROOT, P("X")), subset)
-        assert d.subset.minimal_points() == fan(ROOT)
+        assert subset.minimal_points() == fan(ROOT)
 
     def test_classify_flags_non_minimal_subsets(self):
+        # a set with comparable members is no descriptor's subset: the fan
+        # holds the base point X, below the single
         subset = fan(ROOT).union(singles(P("X", "Y")))
-        d = IntersectionDescriptor(model_of(ROOT, P("X")), subset)
-        assert d.subset.minimal_points() != d.subset
-        assert classify(d).irredundant is Verdict.NO
+        assert subset.minimal_points() != subset
+        with pytest.raises(InvalidDescriptor, match="fan Q1\\(D\\) holds the base point X"):
+            IntersectionDescriptor(model_of(ROOT, P("X")), subset)
 
 
 class TestCompleteRepresentation:
@@ -276,12 +270,10 @@ class TestCompleteRepresentation:
 
 
 def test_ring_identity_ignores_redundant_members():
-    lean = IntersectionDescriptor(model_of(ROOT, P("X")), fan(ROOT))
-    padded = IntersectionDescriptor(
-        model_of(ROOT, P("X")), fan(ROOT).union(singles(P("X", "Y")))
-    )
-    assert represents_same_ring(lean, padded)
-    other = IntersectionDescriptor(model_of(ROOT, P("X")), fan(ROOT, "t1"))
+    # a descriptor's subset holds no redundant member: it is an antichain
+    lean = IntersectionDescriptor(BLOWUP, fan(ROOT))
+    assert represents_same_ring(lean, IntersectionDescriptor(model_of(ROOT), fan(ROOT)))
+    other = IntersectionDescriptor(BLOWUP, fan(ROOT, "t1"))
     assert not represents_same_ring(lean, other)
 
 
@@ -299,7 +291,7 @@ def test_recorded_facts_match_the_sweep(paths, closure_made, data):
     else:
         base = BasePointSet.of({ROOT} | {Point(p[:i]) for p in paths for i in range(len(p) + 1)})
     model = NonsingularModel(base)
-    singles, fans = [], []
+    singles, fans, holding = [], [], False
     for member, above in base.labels_above():
         b = member if data.draw(st.booleans()) else Point(member.path)
         kind = data.draw(st.sampled_from(["none", "inside", "holding", "single"]))
@@ -310,15 +302,22 @@ def test_recorded_facts_match_the_sweep(paths, closure_made, data):
             # the fan holds at least one base point directly above its base
             kept = data.draw(st.lists(st.sampled_from(above), max_size=len(above) - 1))
             fans.append(CofiniteFan(b, kept))
+            holding = True
         elif kind == "single":
             label = data.draw(st.sampled_from(["X", "Y", "A", "t1", "t2"]))
             if label not in above:
                 singles.append(member.child(label))
     if data.draw(st.booleans()):
-        singles, fans = [], list(model.closed_points().fans)
+        singles, fans, holding = [], list(model.closed_points().fans), False
     if not singles and not fans:
         return
-    d = IntersectionDescriptor(model, SymbolicPointSet(tuple(singles), tuple(fans)))
+    subset = SymbolicPointSet(tuple(singles), tuple(fans))
+    if holding:
+        # a descriptor names closed points only
+        with pytest.raises(InvalidDescriptor, match="holds the base point"):
+            IntersectionDescriptor(model, subset)
+        return
+    d = IntersectionDescriptor(model, subset)
     # an equal set the constructor makes, whose queries run the sweep
     again = SymbolicPointSet(
         d.subset.singles, tuple(CofiniteFan(f.base, f.excluded) for f in d.subset.fans)
