@@ -37,7 +37,6 @@ _EXPORTS = {
         "Verdict",
         "classify",
         "is_complete_representation",
-        "represents_same_ring",
     ),
     "models": (
         "NonsingularModel",

@@ -6,7 +6,8 @@ file path, inline JSON, or ``-`` for stdin.  Output is JSON tagged with
 with ``--pretty``, and DOT where a model is produced and ``--dot`` is given.
 
 Exit status: 0 on success, 1 on domain errors (the error class name is
-printed on stderr), 2 on parse errors.
+printed on stderr), 2 on parse errors, 141 when stdout is a pipe that
+nobody reads any more.
 
 This module only parses arguments, reads input, dispatches and maps errors
 to exit codes: every verb decodes its input, runs one library operation and
@@ -19,6 +20,7 @@ constructor.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -307,7 +309,16 @@ def main(argv: list[str] | None = None) -> int:
     except QTreeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: stdout now writes to the null device, so the
+        # flush at exit cannot fail again, and the status is the one a shell
+        # gives a program that SIGPIPE ends
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -316,16 +316,3 @@ def is_complete_representation(d: IntersectionDescriptor) -> Verdict:
         return Verdict.NO
     return Verdict.UNKNOWN
 
-
-def represents_same_ring(
-    a: IntersectionDescriptor, b: IntersectionDescriptor
-) -> bool:
-    """Whether two descriptors name the same ring, up to what the calculus
-    can see.
-
-    A descriptor's subset is an antichain, its own minimal-point set, so
-    the ring is known by the subset together with the completeness verdict.
-    """
-    return a.subset == b.subset and (
-        is_complete_representation(a) == is_complete_representation(b)
-    )

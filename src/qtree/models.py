@@ -15,7 +15,8 @@ the blowup of its saturation.
 
 from __future__ import annotations
 
-from itertools import starmap
+from itertools import pairwise, starmap
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyInput, NotAntichain, NotSaturated, RootNotAllowed, UnitIdeal
@@ -39,14 +40,9 @@ class NonsingularModel(FrozenValue):
         neighborhood minus the directions leading to further base points.
 
         A point q is a closed point iff its parent is a base point and q
-        itself is not, so no closed point lies below another: the set is
-        recorded as an antichain.
+        itself is not.
         """
-        from .pointsets import SymbolicPointSet, _antichain, _trusted_fan
-
-        # one fan per member, in canonical order, its labels in label order
-        fans = tuple(starmap(_trusted_fan, self.base.labels_above()))
-        return _antichain(SymbolicPointSet._canonical((), fans))
+        return _fans(self.base.labels_above())
 
     def contains_point(self, q: Point) -> bool:
         return not q.is_root and q.parent() in self.base and q not in self.base
@@ -92,19 +88,32 @@ def minimal_desingularization(ideal: CompleteIdeal) -> NonsingularModel:
     return NonsingularModel(ideal.base_points())
 
 
-def _validated_antichain(points: Iterable[Point]) -> tuple[Point, ...]:
-    from .pointsets import SymbolicPointSet
+def _fans(labels_above) -> SymbolicPointSet:
+    """One fan over each member of a base set given, in the order given,
+    missing the labels given with it: those of the members directly above
+    it, in label order (see :meth:`BasePointSet.labels_above`).
 
+    A point of such a fan lies outside the base set, so below no point of
+    another fan: the set is recorded as an antichain.
+    """
+    from .pointsets import SymbolicPointSet, _antichain, _trusted_fan
+
+    fans = tuple(starmap(_trusted_fan, labels_above))
+    return _antichain(SymbolicPointSet._canonical((), fans))
+
+
+def _validated_antichain(points: Iterable[Point]) -> tuple[Point, ...]:
     pts = tuple(_not_a_string(points))
     if not pts:
         raise EmptyInput("at least one point is required")
     if any(p.is_root for p in pts):
         raise RootNotAllowed("the root lies on no projective model over itself")
-    antichain = SymbolicPointSet.of_points(pts)
-    # a point listed twice is comparable to itself
-    if len(antichain.singles) != len(pts) or not antichain.is_antichain():
+    # in path order the paths extending a path follow it at once, so a point
+    # lies weakly below another iff it does below the next; a point listed
+    # twice is comparable to itself
+    if any(b[: len(a)] == a for a, b in pairwise(sorted(p.path for p in pts))):
         raise NotAntichain("the points must be pairwise incomparable")
-    return antichain.singles
+    return pts
 
 
 def minimal_model_containing(points: Iterable[Point]) -> NonsingularModel:
@@ -121,8 +130,10 @@ def minimal_model_containing(points: Iterable[Point]) -> NonsingularModel:
 def minimal_incomparable_set(points: Iterable[Point]) -> SymbolicPointSet:
     """The points minimal with respect to being incomparable to all the given ones.
 
-    Computed as the closed points of the minimal model containing the given
-    antichain, minus the antichain itself.
+    A point is one iff it lies outside the downward closure of the antichain
+    and its parent is a member of that closure but not a given point.  The
+    given points are the closure's terminals, so the set is one fan over
+    each member with members directly above it, missing their labels.
     """
-    pts = tuple(_not_a_string(points))
-    return minimal_model_containing(pts).closed_points().minus(pts)
+    closure = BasePointSet.downward_closure(_validated_antichain(points))
+    return _fans(filter(itemgetter(1), closure.labels_above()))

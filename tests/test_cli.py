@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qtree
 from qtree import ROOT, SymbolicPointSet
 from qtree.argparser import build_parser
 from qtree.cli import _COMMANDS, _OPTIONS, _parse_canonical, main
@@ -304,6 +309,25 @@ def test_a_missing_json_path_is_a_file_error(capsys, monkeypatch, tmp_path, verb
         "ParseError: cannot read input 'missing.json': "
         "[Errno 2] No such file or directory: 'missing.json'\n"
     )
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the child's stdout is a pipe whose read end is closed before it runs
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(qtree.__file__).resolve().parents[1])
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "qtree", "saturate", Y_FACTOR],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            text=True,
+        )
+    finally:
+        os.close(write)
+    # no traceback, nor anything else, on stderr
+    assert (child.returncode, child.stderr) == (141, "")
 
 
 def test_domain_errors_exit_1(capsys):

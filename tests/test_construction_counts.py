@@ -31,7 +31,6 @@ from qtree import (
     is_complete_representation,
     minimal_desingularization,
     minimal_incomparable_set,
-    represents_same_ring,
 )
 from qtree import models, pointsets, serialize
 from qtree.cli import main
@@ -185,9 +184,8 @@ def test_the_sweep_runs_once_per_point_set(sweeps):
     classify(d)
     rest = d.subset.minus([P("X", "Y", "t1", "X")])
     assert rest.is_antichain() and rest.minimal_points() is rest
-    e = IntersectionDescriptor(model, rest)
-    assert not represents_same_ring(d, e)
-    assert represents_same_ring(e, e)
+    # nor on a descriptor over a part of them
+    IntersectionDescriptor(model, rest)
     inside = SymbolicPointSet((P("X", "Y", "t1", "X"),), d.subset.fans[:2])
     hens = IntersectionDescriptor(model, inside, henselian=True)
     assert classify(hens).irredundant is Verdict.YES
@@ -241,15 +239,24 @@ def test_truncate_enumerates_the_tree_once(capsys, monkeypatch, verb, payload):
     assert len(calls) == 1
 
 
-def test_minus_keeps_the_fans_it_does_not_change(built, canonicalized):
-    # the minimal model is {D, X, X.Y, Y}: four fans from its closed points,
-    # and three new ones over X.Y, X and Y, the parents of the removed points
+def test_the_incomparable_set_builds_its_fans_trusted(built, canonicalized, monkeypatch):
+    # the antichain's closure is {D, X, Y, X.Y} and the antichain itself:
+    # one fan over each of the four, the fan as it is kept, and no fan or
+    # set made canonical by its constructor
+    made_canonical = []
+    make = CofiniteFan.__init__
+
+    def counted(self, *args, **kwargs):
+        made_canonical.append(self)
+        make(self, *args, **kwargs)
+
+    monkeypatch.setattr(CofiniteFan, "__init__", counted)
     antichain = [P("X", "Y", "t1"), P("X", "t2"), P("Y", "Y")]
     result = minimal_incomparable_set(antichain)
-    assert len(built[CofiniteFan]) == 7
-    # the constructor ran once, on the antichain it validates
-    (validated,) = canonicalized
-    assert set(validated.singles) == set(antichain) and not validated.fans
+    assert len(built[CofiniteFan]) == 4
+    assert all(made is kept for made, kept in zip(built[CofiniteFan], result.fans))
+    assert built[SymbolicPointSet] == [result]
+    assert made_canonical == [] and canonicalized == []
     assert result == SymbolicPointSet(
         (),
         (
@@ -325,11 +332,11 @@ def test_a_descriptor_over_decoded_bases_walks_the_members_once(monkeypatch):
 def test_minus_reads_only_the_fan_bases_it_changes():
     _, first, second = _parting_chains(4000)
     result = minimal_incomparable_set([Point(first), Point(second)])
-    # one fan per base point of the minimal model, whose chains end at the
-    # parents of the two points
+    # one fan per member of the antichain's closure below the two points:
+    # every base but the root is closure-made, and no path is read
     assert not result.singles and len(result.fans) == 2 * 3999 - 1999
     linked = [fan.base for fan in result.fans if type(fan.base) is _LinkedPoint]
-    assert len(linked) == len(result.fans) - 3
+    assert len(linked) == len(result.fans) - 1
     assert all(map(_unread, linked))
 
 

@@ -16,7 +16,6 @@ from qtree import (
     Verdict,
     classify,
     is_complete_representation,
-    represents_same_ring,
 )
 from oracles import TruncatedTree
 
@@ -222,10 +221,6 @@ class TestMinimalPoints:
         d = IntersectionDescriptor(EX_MODEL, singles(P("X", "Y"), P("Y", "X")))
         assert d.subset.minimal_points() == d.subset
 
-    def test_fan_absorbs_deeper_single(self):
-        subset = fan(ROOT).union(singles(P("X", "Y")))
-        assert subset.minimal_points() == fan(ROOT)
-
     def test_classify_flags_non_minimal_subsets(self):
         # a set with comparable members is no descriptor's subset: the fan
         # holds the base point X, below the single
@@ -267,14 +262,6 @@ class TestCompleteRepresentation:
         subset = fan(P("X")).union(fan(P("Y")))
         d = IntersectionDescriptor(EX_MODEL, subset, henselian=False)
         assert is_complete_representation(d) is Verdict.UNKNOWN
-
-
-def test_ring_identity_ignores_redundant_members():
-    # a descriptor's subset holds no redundant member: it is an antichain
-    lean = IntersectionDescriptor(BLOWUP, fan(ROOT))
-    assert represents_same_ring(lean, IntersectionDescriptor(model_of(ROOT), fan(ROOT)))
-    other = IntersectionDescriptor(BLOWUP, fan(ROOT, "t1"))
-    assert not represents_same_ring(lean, other)
 
 
 labels = st.sampled_from(["X", "Y", "A", "t1"])

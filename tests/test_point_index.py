@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 import qtree
@@ -35,6 +35,7 @@ from qtree import (
     RootNotAllowed,
     SymbolicPointSet,
     TruncatedTree,
+    minimal_incomparable_set,
     minimal_model_containing,
     sorted_points,
 )
@@ -312,6 +313,19 @@ def test_points_is_antichain(pts):
         except NotAntichain:
             antichain = False
         assert antichain == oracles.reference_points_antichain(pts)
+
+
+@given(st.lists(paths, max_size=6), st.randoms())
+def test_minimal_incomparable_set_is_the_minimal_model_minus_the_antichain(path_list, random):
+    # the maximal points of a random set are an antichain, given in random
+    # order; the construction the incomparable set replaced is the reference
+    tips = {Point(p) for p in path_list if p}
+    pts = [p for p in tips if not any(p != q and p.leq(q) for q in tips)]
+    assume(pts)
+    pts.sort(key=Point.sort_key)  # then shuffled by the seed alone, not the hash seed
+    random.shuffle(pts)
+    expected = minimal_model_containing(pts).closed_points().minus(pts)
+    assert minimal_incomparable_set(pts) == expected
 
 
 def test_repeated_point_is_no_antichain():

@@ -101,7 +101,7 @@ VERBS = [
         ("min-incomparable", X_POINTS, "--truncate", "2"),
         {"ideals", "models", "pointsets", "truncation"},
     ),
-    (("minimal-model", X_POINTS), {"ideals", "models", "pointsets"}),
+    (("minimal-model", X_POINTS), {"ideals", "models"}),
     (("desingularize", Y_FACTOR), {"ideals", "models"}),
     (("desingularize", Y_FACTOR, "--dot"), {"ideals", "models", "pointsets", "render"}),
     # only a union of two base sets loads ``baseunion``
