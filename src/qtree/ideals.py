@@ -86,20 +86,21 @@ class BasePointSet(FrozenValue):
 
     Base-point sets of m-primary ideals always contain the root and are
     closed under taking parents; this class enforces both.  Construction
-    also builds the flat index every query reads, three tuples:
-    ``_members`` in canonical order, ``_labels``, each member's last label,
-    and ``_counts``, the number of members directly above each.  The
-    members directly above the i-th member follow those above the members
-    before it, so no container per member outlives a build.  A downward
-    closure builds its index here; a set of given points builds its own in
-    :mod:`qtree.baseindex`, and a union merges two in
-    :mod:`qtree.baseunion`, each loaded only when first needed.
+    builds the flat index every query reads, three tuples: ``_members`` in
+    canonical order, ``_labels``, each member's last label, and ``_counts``,
+    the number of members directly above each, whose run follows those of
+    the members before it.  A downward closure builds it here, a set of
+    given points in :mod:`qtree.baseindex` and a union in
+    :mod:`qtree.baseunion`, each loaded when first needed.  All three lay a
+    set out alike, so ``_labels`` and ``_counts`` are the value: equality
+    and hash cost O(members) and build no path.  ``points``, the member set
+    ``in`` reads, is the given frozenset or is hashed on first read.
     """
 
-    _fields = ("points",)
+    _fields = ("_labels", "_counts")
 
     def __init__(self, points: frozenset[Point]) -> None:
-        object.__setattr__(self, "points", frozenset(points))
+        self.__dict__["points"] = frozenset(points)
         self.__post_init__()
 
     def __reduce__(self):
@@ -122,7 +123,6 @@ class BasePointSet(FrozenValue):
 
     @cached_property
     def points(self) -> frozenset[Point]:
-        # a downward closure's or a union's members, hashed only when first read
         return frozenset(self._members)
 
     @classmethod

@@ -20,6 +20,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import InvalidDescriptor
+from .ideals import BasePointSet
 from .models import NonsingularModel
 from .points import ROOT, FrozenValue, Point, X_DIR, Y_DIR
 from .pointsets import CofiniteFan, SymbolicPointSet, _antichain
@@ -179,7 +180,7 @@ class Classification(FrozenValue):
 # an equivalent descriptor written over another model gets no name.
 _NAMED_SINGULARITIES = {
     "ordinary double point": (
-        frozenset({ROOT, Point.of(Y_DIR)}),
+        BasePointSet.downward_closure((Point.of(Y_DIR),)),
         SymbolicPointSet((Point.of(Y_DIR, X_DIR),), (CofiniteFan(ROOT, (Y_DIR,)),)),
     ),
 }
@@ -192,9 +193,8 @@ def classify(d: IntersectionDescriptor) -> Classification:
     it is set only for a descriptor equal to one of them.
     """
     subset = d.subset
-    # the one fan of a subset that is a single fan, else None
-    fan = subset.fans[0] if len(subset.fans) == 1 and not subset.singles else None
-
+    ring_point: Point | None = None
+    # the family, decided once: finite, one fan, Henselian, or other
     if subset.is_finite:
         n = len(subset.singles)
         count: int | str = n
@@ -202,76 +202,70 @@ def classify(d: IntersectionDescriptor) -> Classification:
             f"a finite family of {n} pairwise incomparable points intersects to a "
             f"semilocal regular ring with exactly {n} maximal ideals"
         )
+        irredundant = essential = Verdict.YES
+        irredundant_basis = (
+            "each member of a finite incomparable family is the localization "
+            "of the intersection at one of its maximal ideals, so none can be "
+            "dropped"
+        )
+        essential_basis = (
+            "each member of a finite incomparable family is a localization of "
+            "the intersection"
+        )
     else:
         count = INFINITE
         count_basis = (
             "a cofinite first-neighborhood fan contributes one maximal ideal "
             "per member, and first neighborhoods are infinite"
         )
-
-    if subset.is_finite:
-        irredundant = Verdict.YES
-        irredundant_basis = (
-            "each member of a finite incomparable family is the localization "
-            "of the intersection at one of its maximal ideals, so none can be "
-            "dropped"
-        )
-    elif fan is not None:
-        irredundant = Verdict.YES
-        if fan.base.is_root and not fan.excluded:
-            irredundant_basis = (
-                "the full first neighborhood of the root represents the root "
-                "ring irredundantly"
-            )
+        if len(subset.fans) == 1 and not subset.singles:
+            (fan,) = subset.fans
+            irredundant = Verdict.YES
+            if fan.base.is_root and not fan.excluded:
+                irredundant_basis = (
+                    "the full first neighborhood of the root represents the root "
+                    "ring irredundantly"
+                )
+            else:
+                irredundant_basis = (
+                    "a subset of a single first neighborhood is an irredundant "
+                    "representation of its intersection"
+                )
+            if fan.excluded:
+                essential = Verdict.YES
+                essential_basis = (
+                    "a proper cofinite subset of a first neighborhood is an essential "
+                    "representation of its intersection"
+                )
+            else:
+                essential = Verdict.NO
+                ring_point = fan.base
+                essential_basis = (
+                    "a full first neighborhood intersects to the point beneath it, "
+                    "and no member is a localization of that local ring"
+                )
         else:
-            irredundant_basis = (
-                "a subset of a single first neighborhood is an irredundant "
-                "representation of its intersection"
+            if d.henselian:
+                irredundant = Verdict.YES
+                irredundant_basis = (
+                    "over a Henselian base, every family of pairwise incomparable "
+                    "points intersects irredundantly"
+                )
+            else:
+                irredundant = Verdict.UNKNOWN
+                irredundant_basis = (
+                    "irredundance of general infinite families over a non-Henselian "
+                    "base is outside the implemented criteria"
+                )
+            essential = Verdict.UNKNOWN
+            essential_basis = (
+                "essentiality of mixed infinite families is outside the "
+                "implemented criteria"
             )
-    elif d.henselian:
-        irredundant = Verdict.YES
-        irredundant_basis = (
-            "over a Henselian base, every family of pairwise incomparable "
-            "points intersects irredundantly"
-        )
-    else:
-        irredundant = Verdict.UNKNOWN
-        irredundant_basis = (
-            "irredundance of general infinite families over a non-Henselian "
-            "base is outside the implemented criteria"
-        )
-
-    ring_point: Point | None = None
-    if subset.is_finite:
-        essential = Verdict.YES
-        essential_basis = (
-            "each member of a finite incomparable family is a localization of "
-            "the intersection"
-        )
-    elif fan is not None and not fan.excluded:
-        essential = Verdict.NO
-        ring_point = fan.base
-        essential_basis = (
-            "a full first neighborhood intersects to the point beneath it, "
-            "and no member is a localization of that local ring"
-        )
-    elif fan is not None:
-        essential = Verdict.YES
-        essential_basis = (
-            "a proper cofinite subset of a first neighborhood is an essential "
-            "representation of its intersection"
-        )
-    else:
-        essential = Verdict.UNKNOWN
-        essential_basis = (
-            "essentiality of mixed infinite families is outside the "
-            "implemented criteria"
-        )
 
     singularity = None
     for name, (base, named) in _NAMED_SINGULARITIES.items():
-        # the lengths first: comparing the members hashes every one
-        if len(d.model.base) == len(base) and d.model.base.points == base and subset == named:
+        if d.model.base == base and subset == named:
             singularity = name
 
     return Classification(

@@ -70,8 +70,9 @@ class MonomialIdeal(FrozenValue):
     ideal is represented by the single generator (0, 0).
 
     ``_complete`` is set, outside the value's fields, only on ideals built
-    as closures of a Newton polygon; any other ideal may still be complete,
-    and is tested by computing its closure.
+    as closures of a Newton polygon, each its own ``integral_closure()``.
+    Any other ideal may still be complete: ``_require_complete``, the one
+    completeness test, compares it with its closure.
     """
 
     _fields = ("gens",)
@@ -156,12 +157,6 @@ class MonomialIdeal(FrozenValue):
         if self._complete:
             return self
         return _closure_of_polygon(self.newton_region())
-
-    @property
-    def is_complete(self) -> bool:
-        return self._complete or (
-            self.is_m_primary and self.integral_closure() == self
-        )
 
     def _require_complete(self) -> None:
         if self._complete:
@@ -378,31 +373,16 @@ def generators_for_ideal(ideal: CompleteIdeal) -> MonomialIdeal:
         steps.append((mult * v.q, -mult * v.p))
     if not steps:
         return MonomialIdeal.unit()
-    return _closure_of_polygon(_lay_edges((0, -sum(db for _, db in steps)), steps))
-
-
-# edge vectors (da, db), da > 0, in increasing slope db/da
-_by_slope = cmp_to_key(lambda u, v: u[1] * v[0] - v[1] * u[0])
-
-
-def _lay_edges(
-    start: Exponent, steps: Iterable[tuple[int, int]]
-) -> tuple[Exponent, ...]:
-    """Vertices of the polygon that leaves ``start`` along the edge vectors
-    (da, db), da > 0 > db, in increasing slope order, with parallel runs
-    fused into one edge.  As da > 0, db/da < db'/da' iff db*da' < db'*da,
-    so slopes are compared exactly in integers."""
-    vertices = [start]
-    # slope 0, which no edge has
-    last_da, last_db = 1, 0
-    for da, db in sorted(steps, key=_by_slope):
+    # the edges in increasing slope db/da, compared exactly in integers: as
+    # da > 0, db/da < db'/da' iff db*da' < db'*da.  Distinct factor points
+    # have distinct coprime weights, so no two edges are parallel and each
+    # is one edge of the polygon.
+    steps.sort(key=cmp_to_key(lambda u, v: u[1] * v[0] - v[1] * u[0]))
+    vertices = [(0, -sum(db for _, db in steps))]
+    for da, db in steps:
         a, b = vertices[-1]
-        if db * last_da == last_db * da:
-            vertices[-1] = (a + da, b + db)
-        else:
-            vertices.append((a + da, b + db))
-        last_da, last_db = da, db
-    return tuple(vertices)
+        vertices.append((a + da, b + db))
+    return _closure_of_polygon(tuple(vertices))
 
 
 def _closure_of_polygon(vertices: tuple[Exponent, ...]) -> MonomialIdeal:

@@ -329,7 +329,7 @@ def test_a_descriptor_over_decoded_bases_walks_the_members_once(monkeypatch):
     assert len(read) == 2 + len(model.base)
 
 
-def test_minus_reads_only_the_fan_bases_it_changes():
+def test_the_incomparable_sets_closure_made_bases_stay_unread():
     _, first, second = _parting_chains(4000)
     result = minimal_incomparable_set([Point(first), Point(second)])
     # one fan per member of the antichain's closure below the two points:
@@ -338,6 +338,21 @@ def test_minus_reads_only_the_fan_bases_it_changes():
     linked = [fan.base for fan in result.fans if type(fan.base) is _LinkedPoint]
     assert len(linked) == len(result.fans) - 1
     assert all(map(_unread, linked))
+
+
+def test_base_set_equality_and_hash_read_no_path():
+    # a base set's value is its labels and counts: two equal models, each
+    # closed from its own ideal, compare and hash without building a
+    # member's path or hash, and so does a model that differs
+    ideal, first, _ = _parting_chains(4000)
+    one, two = minimal_desingularization(ideal), minimal_desingularization(_parting_chains(4000)[0])
+    shorter = minimal_desingularization(CompleteIdeal.simple(Point(first)))
+    assert one.base is not two.base
+    assert one == two and hash(one) == hash(two)
+    assert one != shorter and one.base != shorter.base
+    made = [p for m in (one, two, shorter) for p in m.base if type(p) is _LinkedPoint]
+    assert len(made) == 2 * (2 * 4000 - 4000 // 2 - 2) + 3999
+    assert all(map(_unread, made))
 
 
 @pytest.mark.parametrize("level", [300, 4000])

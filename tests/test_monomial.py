@@ -203,7 +203,7 @@ class TestOutputSensitiveClosure:
         closed = ideal.integral_closure()
         assert closed.integral_closure() is closed
         assert ideal.integral_closure() is not closed
-        assert closed.is_complete and not ideal.is_complete
+        assert ideal.integral_closure() != ideal
         with pytest.raises(NotComplete):
             ideal.quadratic_transform("X")
 
@@ -213,7 +213,6 @@ class TestOutputSensitiveClosure:
         assert copy == closed and hash(copy) == hash(closed)
         assert copy.integral_closure() == copy
         assert copy.integral_closure() is not copy
-        assert copy.is_complete
         assert copy.quadratic_transform("X") == closed.quadratic_transform("X")
         assert pickle.loads(pickle.dumps(closed)).integral_closure() == closed
 
@@ -240,7 +239,7 @@ class TestClosuresAreStoredAsBuilt:
     def check(closed):
         assert MonomialIdeal(closed.gens).gens == closed.gens
         assert all(type(e) is int for g in closed.gens for e in g)
-        assert closed.is_complete
+        assert closed.integral_closure() is closed
 
     @given(m_primary_gens(200, 200))
     def test_integral_closure(self, gens):
@@ -283,6 +282,14 @@ class TestGeneratorsEdgeWalk:
         got = generators_for_ideal(j)
         assert got.gens == oracles.repeated_product_generators(weights)
         assert got.integral_closure() is got
+
+    @given(toric.filter(lambda factors: len(factors) >= 2))
+    def test_one_polygon_corner_per_factor(self, factors):
+        # distinct toric points have distinct coprime weights, so no two
+        # factors' edges are parallel, and each factor is one edge of the
+        # Newton polygon
+        j = CompleteIdeal.of({P(*path): k for path, k in factors.items()})
+        assert len(generators_for_ideal(j).newton_region()) == len(j.factors) + 1
 
     def test_simple_ideals_match_the_column_scan(self):
         for p in range(1, 30):
@@ -517,7 +524,7 @@ class TestSimpleIdeals:
                 if math.gcd(p, q) != 1:
                     continue
                 s = simple_ideal(MonomialValuation(p, q))
-                assert s.is_complete
+                assert s.integral_closure() is s
                 factors = factorize(s)
                 assert factors == CompleteIdeal.simple(
                     point_for_valuation(MonomialValuation(p, q))

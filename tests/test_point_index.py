@@ -240,6 +240,32 @@ mixed_base_sets = st.one_of(
 either_base_sets = st.one_of(base_sets.map(BasePointSet.of), mixed_base_sets)
 
 
+# with a label that holds a dot: ("X.Y",) is one label, not the path X, Y
+dotted_paths = st.lists(st.sampled_from(["X", "Y", "A", "X1", "t1", "X.Y"]), max_size=5).map(
+    tuple
+)
+
+
+@given(st.lists(dotted_paths, max_size=15), st.lists(dotted_paths, max_size=15))
+def test_every_builder_gives_one_set_the_same_value(left, right):
+    # the labels and counts are the value, so the given-point, closure and
+    # union builders must lay the same set out alike
+    tips = left + right
+    built = [
+        BasePointSet(frozenset(closure(tips))),
+        BasePointSet.downward_closure(map(Point, tips)),
+        BasePointSet.of(closure(left)).union(BasePointSet.downward_closure(map(Point, right))),
+        BasePointSet.downward_closure(map(Point, left)).union(
+            BasePointSet.of(linked_closure(right))
+        ),
+    ]
+    first = built[0]
+    assert first.points == closure(tips)
+    for base in built:
+        assert base._labels == first._labels and base._counts == first._counts
+        assert base == first and hash(base) == hash(first)
+
+
 @given(either_base_sets, either_base_sets)
 def test_union_and_dominates_merge_two_indexes(a, b):
     pts = a.points | b.points
