@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, compress, pairwise, starmap
+from itertools import accumulate, compress, pairwise, repeat, starmap
 from operator import attrgetter, not_
 from typing import Iterable, Iterator, Mapping
 
@@ -30,7 +30,7 @@ from .points import (
     _is_int,
     _label_rank,
     _not_a_string,
-    _point_above,
+    _points_above,
     sorted_points,
 )
 
@@ -47,10 +47,11 @@ def _closed(points):
     The points are walked in path order, labels compared in label order,
     where the longest prefix of a point already in the closure is the one
     it shares with the point before it.  So the chain above that prefix is
-    made once, each new point from its parent: no point is hashed and no
-    membership tested, and the points made build their paths only when
-    read.  The walk meets the members depth first, the members above each
-    in label order, so their canonical order is that order sorted by level.
+    made once, in one call, each new point above its parent: no point is
+    hashed and no membership tested, and the points made build their paths
+    only when read.  The walk meets the members depth first, the members
+    above each in label order, so their canonical order is that order
+    sorted by level.
     """
     points = [ROOT, *points]
     rank = _label_rank(map(_path, points))
@@ -66,12 +67,10 @@ def _closed(points):
             continue  # the previous point again
         del along[n + 1 :]
         counts[along[n]] += 1
-        q = members[along[n]]
         along += range(len(members), len(members) + len(path) - n)
-        for level in range(n + 1, len(path)):
-            q = _point_above(q, path[level - 1], level)
-            members.append(q)
-            counts.append(1)
+        run = _points_above(members[along[n]], path, n)
+        members += run
+        counts += [1] * len(run)
         members.append(p)
         counts.append(0)
         labels += path[n:]
@@ -203,7 +202,7 @@ class CompleteIdeal(FrozenValue):
         """The canonical saturated ideal with the given base points: each
         base point once, already in canonical order."""
         ideal = object.__new__(cls)
-        ideal.__dict__["factors"] = tuple((p, 1) for p in base.sorted())
+        ideal.__dict__["factors"] = tuple(zip(base.sorted(), repeat(1)))
         # its base set is ``base`` itself
         ideal.__dict__["_base_points"] = base
         return ideal

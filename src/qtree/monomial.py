@@ -239,7 +239,7 @@ class MonomialValuation(FrozenValue):
     quadratic tree.
     """
 
-    _fields = ("p", "q")
+    __slots__ = _fields = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
         # checked before math.gcd, which takes a bool and refuses a float
@@ -247,15 +247,22 @@ class MonomialValuation(FrozenValue):
             raise ValueError("weights must be integers")
         if p < 1 or q < 1 or math.gcd(p, q) != 1:
             raise NotCoprime("weights must be coprime positive integers")
-        fields = self.__dict__
-        fields["p"] = p
-        fields["q"] = q
+        _set_p(self, p)
+        _set_q(self, q)
+
+    def __reduce__(self):
+        # the default restores slots by assignment, which the value refuses
+        return (MonomialValuation, (self.p, self.q))
 
     def value(self, a: int, b: int) -> int:
         return self.p * a + self.q * b
 
     def __str__(self) -> str:
         return f"v({self.p},{self.q})"
+
+
+_set_p = MonomialValuation.p.__set__
+_set_q = MonomialValuation.q.__set__
 
 
 def point_for_valuation(v: MonomialValuation) -> Point:

@@ -79,9 +79,15 @@ class FrozenValue:
     """An immutable value: equal to another of its class with equal fields.
 
     A subclass names its fields in ``_fields``; its ``__init__`` stores them
-    with ``object.__setattr__`` or straight into the instance dict
-    (:class:`Point` through its slots' own descriptors), since assignment
-    and deletion are refused afterwards.
+    with ``object.__setattr__`` or straight into the instance dict, since
+    assignment and deletion are refused afterwards.  The values made once
+    per member of a set or per valuation, :class:`Point`,
+    :class:`~qtree.pointsets.CofiniteFan` and
+    :class:`~qtree.monomial.MonomialValuation`, keep their fields in
+    ``__slots__`` instead, stored through the slots' own descriptors: no
+    instance dict per value, so fewer objects for the garbage collector to
+    track, and a ``__reduce__`` that pickles and copies each by re-running
+    its constructor.
     Equality, hash and ``repr`` read only those fields, so caches kept
     beside them (``cached_property`` values, indexes, flags) never change
     the value.  Only :class:`Point` spells out ``__eq__`` and ``__hash__``,
@@ -273,15 +279,21 @@ _set_level = _LinkedPoint.level.__set__
 _set_label = _LinkedPoint.last_label.__set__
 
 
-def _point_above(parent: Point, label: str, level: int) -> Point:
-    """The point above ``parent`` in direction ``label``, at ``level``."""
-    point = _new(_LinkedPoint)
-    _set_path(point, None)
-    _set_hash(point, None)
-    _set_parent(point, parent)
-    _set_level(point, level)
-    _set_label(point, label)
-    return point
+def _points_above(parent: Point, path: tuple[str, ...], level: int) -> list[Point]:
+    """The points of ``path`` strictly between ``parent``, at ``level``,
+    and the end of ``path``, in order up the chain: one call makes the run."""
+    run = []
+    for label in path[level : len(path) - 1]:
+        level += 1
+        point = _new(_LinkedPoint)
+        _set_path(point, None)
+        _set_hash(point, None)
+        _set_parent(point, parent)
+        _set_level(point, level)
+        _set_label(point, label)
+        run.append(point)
+        parent = point
+    return run
 
 
 ROOT = Point()

@@ -23,7 +23,7 @@ class CofiniteFan(FrozenValue):
     first neighborhoods are infinite, a fan is always an infinite set.
     """
 
-    _fields = ("base", "excluded")
+    __slots__ = _fields = ("base", "excluded")
 
     def __init__(self, base: Point, excluded: Iterable[str] = ()) -> None:
         if not isinstance(base, Point):
@@ -31,9 +31,12 @@ class CofiniteFan(FrozenValue):
         excluded = _labels(excluded)
         if len(excluded) > 1:
             excluded = tuple(sorted(set(excluded), key=label_key))
-        fields = self.__dict__
-        fields["base"] = base
-        fields["excluded"] = excluded
+        _set_base(self, base)
+        _set_excluded(self, excluded)
+
+    def __reduce__(self):
+        # the default restores slots by assignment, which the value refuses
+        return (CofiniteFan, (self.base, self.excluded))
 
     def __str__(self) -> str:
         if not self.excluded:
@@ -41,13 +44,16 @@ class CofiniteFan(FrozenValue):
         return f"Q1({self.base}) - {{{', '.join(self.excluded)}}}"
 
 
+_set_base = CofiniteFan.base.__set__
+_set_excluded = CofiniteFan.excluded.__set__
+
+
 def _trusted_fan(base: Point, excluded: tuple[str, ...]) -> CofiniteFan:
     """A fan whose excluded labels are already distinct, valid and in
     ``label_key`` order."""
     fan = _new(CofiniteFan)
-    fields = fan.__dict__
-    fields["base"] = base
-    fields["excluded"] = excluded
+    _set_base(fan, base)
+    _set_excluded(fan, excluded)
     return fan
 
 

@@ -8,6 +8,7 @@ resolves its public names on first use, and ``points`` the names of the
 point sets that moved to ``pointsets``.
 """
 
+import copy
 import json
 import os
 import pickle
@@ -33,6 +34,8 @@ from qtree import (
     SymbolicPointSet,
     TruncatedTree,
     classify,
+    minimal_incomparable_set,
+    valuation_for_point,
 )
 
 SRC = str(Path(qtree.__file__).resolve().parents[1])
@@ -193,6 +196,8 @@ def test_dir_lists_every_name_and_loads_no_submodule():
     names, modules = proc.stdout.splitlines()
     assert set(qtree.__all__) | {"cli", "render", "serialize"} <= set(names.split())
     assert modules == "['qtree']"
+    # and in this process, where line coverage sees ``__dir__`` run
+    assert set(qtree.__all__) | {"cli", "render", "serialize"} <= set(dir(qtree))
 
 
 def test_star_import_binds_every_public_name():
@@ -353,10 +358,25 @@ def test_former_dataclasses_are_frozen_values(make, make_other, field, text):
     with pytest.raises(AttributeError):
         delattr(value, field)
     assert getattr(value, field) == getattr(same, field)
-    copy = pickle.loads(pickle.dumps(value))
-    assert copy == value and hash(copy) == hash(value) and repr(copy) == text
+    for copied in pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value):
+        assert copied == value and hash(copied) == hash(value) and repr(copied) == text
 
 
+def test_fans_and_monomial_valuations_keep_their_fields_in_slots():
+    # every builder: the constructor, closed points and the incomparable set
+    # (``_trusted_fan``), ``minus`` and the constructor's merge of two fans
+    # over one base
+    fans = [
+        CofiniteFan(ROOT, ("Y", "X")),
+        *NonsingularModel(BasePointSet.of([ROOT, P("X")])).closed_points().fans,
+        *minimal_incomparable_set([P("X", "Y")]).fans,
+        *SymbolicPointSet.fan(ROOT).minus([P("X")]).fans,
+        *SymbolicPointSet((), (CofiniteFan(ROOT, ("X", "Y")), CofiniteFan(ROOT, ("X",)))).fans,
+    ]
+    assert len(fans) == 7
+    valuations = [MonomialValuation(2, 3), valuation_for_point(P("X", "Y"))]
+    for value in fans + valuations:
+        assert not hasattr(value, "__dict__"), value
 def test_cached_properties_stay_outside_the_value():
     s = SymbolicPointSet((P("X", "Y"),), (CofiniteFan(P("Y")),))
     assert P("Y", "t1") in s and P("X", "Y") in s  # fills both caches
